@@ -42,6 +42,7 @@ from .domain import (
     PrevNeuron,
     SplitAB,
     TrainConfig,
+    require_finite_features,
     require_valid_dataset,
     validate_dataset,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "FitnessRecord",
     "validate_dataset",
     "require_valid_dataset",
+    "require_finite_features",
     # errors
     "EcnnError",
     "DataError",

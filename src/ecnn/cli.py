@@ -30,7 +30,12 @@ from .data_io import (
     synth_dataset,
     write_csv,
 )
-from .domain import Dataset, TrainConfig, require_valid_dataset
+from .domain import (
+    Dataset,
+    TrainConfig,
+    require_finite_features,
+    require_valid_dataset,
+)
 from .errors import DataError, EcnnError, ModelFormatError
 from .evolve import multi_run, select_best
 from .model_io import dump_canonical_json, load_model, save_model
@@ -301,9 +306,11 @@ def cmd_predict(args) -> int:
     model, config = load_model(args.model)
     if args.label is not None:
         data = load_csv(args.data, args.label)
+        require_valid_dataset(data)
         features = data.features
     else:
         features, _ = load_matrix_csv(args.data)
+        require_finite_features(features)
     threshold = (
         config.classification_threshold if args.threshold is None else args.threshold
     )

@@ -40,6 +40,10 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise DataError(f"cannot read data file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from exc
     rows = [row for row in rows if row]
     if not rows:
         raise DataError(f"{path}: empty file, expected a header row")

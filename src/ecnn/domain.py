@@ -7,7 +7,9 @@ between threads or worker processes without synchronization.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -29,6 +31,7 @@ __all__ = [
     "FitnessRecord",
     "validate_dataset",
     "require_valid_dataset",
+    "require_finite_features",
 ]
 
 MAX_SEED = 2**64 - 1
@@ -85,30 +88,71 @@ class Dataset:
         return Dataset(self.features[idx], self.targets[idx], self.feature_names)
 
 
+# Error messages list at most this many violations, then the total count.
+MAX_LISTED_VIOLATIONS = 10
+
+
+def _cell_messages(bad: np.ndarray) -> Iterator[str]:
+    """One message per True cell of a non-finite mask, in row-major order,
+    formatted only as far as the caller reads."""
+    for i in np.flatnonzero(bad.any(axis=1)):
+        for j in np.flatnonzero(bad[i]):
+            yield f"non-finite feature value at row {int(i)}, column {int(j)}"
+
+
+def _violations(d: Dataset) -> tuple[Iterator[str], int]:
+    """Every violation message of ``d`` as a lazy iterator, plus their count."""
+    head = []
+    if d.targets.shape[0] != d.n:
+        head.append(
+            f"features have {d.n} rows but there are {d.targets.shape[0]} targets"
+        )
+    if d.m < 2:
+        head.append("at least two features required")
+    bad_targets = np.flatnonzero((d.targets != 0.0) & (d.targets != 1.0))
+    bad_cells = ~np.isfinite(d.features)
+    messages = itertools.chain(
+        head,
+        (f"non-binary target at row {int(i)}" for i in bad_targets),
+        _cell_messages(bad_cells),
+    )
+    return messages, len(head) + len(bad_targets) + int(np.count_nonzero(bad_cells))
+
+
+def _raise_bounded(what: str, messages: Iterator[str], total: int) -> None:
+    """Raise :class:`DataError` listing the first MAX_LISTED_VIOLATIONS
+    messages and the total, unless there are none."""
+    if total == 0:
+        return
+    listed = list(itertools.islice(messages, MAX_LISTED_VIOLATIONS))
+    if total > len(listed):
+        listed.append(f"and {total - len(listed)} more")
+        what = f"{what} ({total} violations)"
+    raise DataError(f"{what}: " + "; ".join(listed))
+
+
 def validate_dataset(d: Dataset) -> list[str]:
     """Check every Dataset invariant and return an itemized violation list.
 
     An empty list means the dataset is valid.
     """
-    violations: list[str] = []
-    if d.targets.shape[0] != d.n:
-        violations.append(
-            f"features have {d.n} rows but there are {d.targets.shape[0]} targets"
-        )
-    if d.m < 2:
-        violations.append("at least two features required")
-    for i in np.nonzero((d.targets != 0.0) & (d.targets != 1.0))[0]:
-        violations.append(f"non-binary target at row {int(i)}")
-    for i, j in np.argwhere(~np.isfinite(d.features)):
-        violations.append(f"non-finite feature value at row {int(i)}, column {int(j)}")
-    return violations
+    return list(_violations(d)[0])
 
 
 def require_valid_dataset(d: Dataset) -> None:
-    """Raise :class:`DataError` listing every violation, if there are any."""
-    violations = validate_dataset(d)
-    if violations:
-        raise DataError("invalid dataset: " + "; ".join(violations))
+    """Raise :class:`DataError` listing the violations, if there are any.
+
+    The message lists at most the first ``MAX_LISTED_VIOLATIONS`` and then
+    the total, so it stays small on huge bad inputs.
+    """
+    _raise_bounded("invalid dataset", *_violations(d))
+
+
+def require_finite_features(features) -> None:
+    """Raise :class:`DataError` naming the non-finite cells of a feature
+    matrix, bounded like :func:`require_valid_dataset`."""
+    bad = ~np.isfinite(np.asarray(features, dtype=float))
+    _raise_bounded("invalid features", _cell_messages(bad), int(np.count_nonzero(bad)))
 
 
 @dataclass(frozen=True)

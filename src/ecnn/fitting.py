@@ -9,6 +9,7 @@ final validation error doubles as the neuron's selection criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,17 @@ __all__ = [
 SIGMOID_CLAMP = 1e-12
 
 
+def _clamp(p: np.ndarray) -> np.ndarray:
+    """Clamp sigmoid outputs in place to [SIGMOID_CLAMP, 1 - SIGMOID_CLAMP]."""
+    return p.clip(SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP, out=p)
+
+
 def sigmoid(x):
     """Logistic function clamped to [SIGMOID_CLAMP, 1 - SIGMOID_CLAMP]."""
-    return np.clip(expit(x), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+    p = expit(x)
+    if isinstance(p, np.ndarray):
+        return _clamp(p)
+    return np.clip(p, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
 
 
 def neuron_output(inputs, weights) -> float:
@@ -108,7 +117,21 @@ def error_vector(subset: Dataset, wiring, prior_outputs, weights) -> np.ndarray:
             f"wiring of {U.shape[0] - 1} inputs needs {U.shape[0]} weights, "
             f"got {len(w)}"
         )
-    return sigmoid(w @ U) - subset.targets
+    return _residuals_into(np.empty(subset.n), w, U, subset.targets)
+
+
+def _residuals_into(out, weights, design, targets) -> np.ndarray:
+    """sigmoid(weights @ design) - targets, computed in place in ``out``."""
+    np.matmul(weights, design, out=out)
+    expit(out, out=out)
+    _clamp(out)
+    return np.subtract(out, targets, out=out)
+
+
+def _norm(r: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, exactly as np.linalg.norm
+    computes it (the square root of the dot product)."""
+    return math.sqrt(r @ r)
 
 
 def validation_error(residuals_b) -> float:
@@ -116,7 +139,7 @@ def validation_error(residuals_b) -> float:
     r = np.asarray(residuals_b, dtype=float)
     if r.ndim != 1 or len(r) == 0:
         raise ValueError("residuals must form a non-empty vector")
-    return float(np.linalg.norm(r))
+    return _norm(r.ravel(order="K"))
 
 
 def projection_update(weights, inputs_a, residuals_a, chi: float) -> np.ndarray:
@@ -136,12 +159,23 @@ def projection_update(weights, inputs_a, residuals_a, chi: float) -> np.ndarray:
             f"shape mismatch: weights {w.shape}, design {U.shape}, "
             f"residuals {eta.shape}"
         )
-    norm_sq = float(np.sum(U * U))
+    return _project(w, U, eta, _projection_scale(U, chi))
+
+
+def _projection_scale(inputs_a: np.ndarray, chi: float) -> float:
+    """chi / ||U||^2, the step size shared by every step of one fit."""
+    norm_sq = float(np.sum(inputs_a * inputs_a))
     if norm_sq == 0.0:
         raise SingularInputError(
             "the design matrix is identically zero; the projection step is undefined"
         )
-    return w - (chi / norm_sq) * (U @ eta)
+    return chi / norm_sq
+
+
+def _project(weights, inputs_a, residuals_a, scale: float) -> np.ndarray:
+    """The projection step for a precomputed ``scale``.  The grouping
+    fixes the rounding, so it is part of the model's bytes."""
+    return weights - scale * (inputs_a @ residuals_a)
 
 
 def init_weights(p_plus_bias: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -215,19 +249,26 @@ def fit_neuron_from_init(
             f"wiring of {U_A.shape[0] - 1} inputs needs {U_A.shape[0]} initial "
             f"weights, got {w_cur.shape}"
         )
+    last = config.max_fit_steps
+    # The first projection step is taken at step 1 whenever there is a
+    # step 2, so the step size can be fixed (and a zero design matrix
+    # reported) before the loop without changing when that error fires.
+    scale = _projection_scale(U_A, config.chi) if last > 1 else 0.0
+    residuals_a = np.empty(split.set_a.n)
+    residuals_b = np.empty(split.set_b.n)
     w_prev = w_cur
     prev_eb = np.inf
     trace: list[float] = []
-    for k in range(1, config.max_fit_steps + 1):
-        eb = validation_error(sigmoid(w_cur @ U_B) - y_b)
+    for k in range(1, last + 1):
+        eb = _norm(_residuals_into(residuals_b, w_cur, U_B, y_b))
         trace.append(eb)
         if k >= 2 and prev_eb - eb < config.delta:
             final = w_prev if eb > prev_eb else w_cur
             return FitResult(final, eb, k, np.asarray(trace))
-        if k < config.max_fit_steps:
-            residuals_a = sigmoid(w_cur @ U_A) - y_a
+        if k < last:
+            _residuals_into(residuals_a, w_cur, U_A, y_a)
             w_prev, prev_eb = w_cur, eb
-            w_cur = projection_update(w_cur, U_A, residuals_a, config.chi)
+            w_cur = _project(w_cur, U_A, residuals_a, scale)
     return FitResult(w_cur, trace[-1], len(trace), np.asarray(trace))
 
 

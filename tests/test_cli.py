@@ -257,6 +257,34 @@ class TestPredict:
         assert code == 2
         assert "feature count mismatch" in stderr
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_non_finite_feature_is_a_data_error(self, tmp_path, saved_model,
+                                                capsys, cell, labeled):
+        if labeled:
+            data = self.data_csv(tmp_path, ["0.0,1.0,1", f"0.0,{cell},0"],
+                                 header="x0,x1,y")
+            label = ["--label", "y"]
+        else:
+            data = self.data_csv(tmp_path, ["0.0,1.0", f"0.0,{cell}"])
+            label = []
+        out = tmp_path / "scores.csv"
+        code, stdout, stderr = invoke(
+            capsys, "predict", "--model", str(saved_model), "--data", str(data),
+            "--out", str(out), *label,
+        )
+        assert code == 2
+        assert "non-finite feature value at row 1, column 1" in stderr
+        assert not out.exists() and stdout == ""
+
+    def test_non_finite_message_matches_eval(self, tmp_path, saved_model, capsys):
+        data = self.data_csv(tmp_path, ["0.0,1.0,1", "nan,1.0,0"], header="x0,x1,y")
+        common = ["--model", str(saved_model), "--data", str(data), "--label", "y"]
+        predicted = invoke(capsys, "predict", *common)
+        evaluated = invoke(capsys, "eval", *common)
+        assert predicted[0] == evaluated[0] == 2
+        assert predicted[2] == evaluated[2]
+
     def test_unreadable_model_is_a_data_error(self, tmp_path, capsys):
         data = self.data_csv(tmp_path, ["0.0,1.0"])
         code, _, stderr = invoke(
@@ -298,6 +326,16 @@ class TestEval:
         assert "examples: 1210" in stdout
         assert "error rate: 3.31%" in stdout
         assert "accuracy: 96.69%" in stdout
+
+    def test_non_utf8_data_is_a_data_error(self, tmp_path, saved_model, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"x0,x1,y\n0.0,\xff\xfe,1\n0.0,1.0,0\n")
+        code, _, stderr = invoke(
+            capsys, "eval", "--model", str(saved_model), "--data", str(data),
+            "--label", "y",
+        )
+        assert code == 2
+        assert "data error" in stderr and "not valid UTF-8" in stderr
 
     def test_non_binary_label_is_a_data_error(self, tmp_path, saved_model, capsys):
         data = tmp_path / "d.csv"

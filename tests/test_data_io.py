@@ -10,6 +10,7 @@ from ecnn import (
     Dataset,
     ZeroVarianceWarning,
     load_csv,
+    load_matrix_csv,
     normalize,
     split_odd_even,
     split_train_test,
@@ -73,6 +74,26 @@ class TestLoadCsv:
     def test_missing_file_raises_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_csv(tmp_path / "nope.csv", label_column="y")
+
+    @pytest.mark.parametrize("load", [
+        lambda path: load_csv(path, label_column="y"),
+        load_matrix_csv,
+    ])
+    def test_non_utf8_bytes_raise_data_error(self, tmp_path, load):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,y\n1.0,\xff\xfe,1\n")
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [
+        lambda path: load_csv(path, label_column="y"),
+        load_matrix_csv,
+    ])
+    def test_malformed_csv_raises_data_error(self, tmp_path, load):
+        # one field beyond the csv module's field size limit
+        path = write_text(tmp_path / "d.csv", 'a,b,y\n"' + "1" * 200_000 + '",2,1\n')
+        with pytest.raises(DataError, match="malformed CSV"):
+            load(path)
 
 
 class TestWriteCsv:

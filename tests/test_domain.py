@@ -19,6 +19,7 @@ from ecnn import (
     PrevNeuron,
     SplitAB,
     TrainConfig,
+    require_finite_features,
     require_valid_dataset,
     validate_dataset,
 )
@@ -87,6 +88,54 @@ class TestValidateDataset:
 
     def test_require_valid_passes_silently(self):
         require_valid_dataset(Dataset([[1, 2], [3, 4]], [0, 1]))
+
+    def test_require_valid_message_is_bounded_on_huge_bad_input(self):
+        d = Dataset(np.full((20000, 50), np.nan), np.zeros(20000))
+        with pytest.raises(DataError) as excinfo:
+            require_valid_dataset(d)
+        message = str(excinfo.value)
+        assert len(message.encode("utf-8")) < 2048
+        assert "1000000 violations" in message
+        assert "and 999990 more" in message
+        assert message.count("non-finite feature value") == 10
+        assert "row 0, column 9" in message and "column 10" not in message
+
+    def test_require_valid_lists_violations_in_order_before_the_cap(self):
+        features = np.ones((12, 2))
+        features[3, 1] = np.inf
+        d = Dataset(features, [2.0] * 11 + [0.0])
+        with pytest.raises(DataError) as excinfo:
+            require_valid_dataset(d)
+        message = str(excinfo.value)
+        assert message.startswith("invalid dataset (12 violations): ")
+        assert "non-binary target at row 9; and 2 more" in message
+        assert "non-finite" not in message
+
+    def test_require_valid_small_message_lists_everything(self):
+        d = Dataset([[1, np.nan], [3, 4]], [0, 2])
+        with pytest.raises(DataError) as excinfo:
+            require_valid_dataset(d)
+        assert str(excinfo.value) == (
+            "invalid dataset: non-binary target at row 1; "
+            "non-finite feature value at row 0, column 1"
+        )
+
+
+class TestRequireFiniteFeatures:
+    def test_finite_matrix_passes(self):
+        require_finite_features([[1.0, 2.0], [3.0, -4.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_named_by_position(self, value):
+        with pytest.raises(DataError, match="non-finite feature value at row 1, column 0"):
+            require_finite_features([[1.0, 2.0], [value, 3.0]])
+
+    def test_message_is_bounded(self):
+        with pytest.raises(DataError) as excinfo:
+            require_finite_features(np.full((1000, 30), np.inf))
+        message = str(excinfo.value)
+        assert len(message) < 2048
+        assert "30000 violations" in message and "and 29990 more" in message
 
 
 def _pair(n_a=2, n_b=2, m=2):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecnn import (
@@ -26,6 +26,7 @@ from ecnn import (
     init_weights,
     neuron_output,
     projection_update,
+    sigmoid,
     validation_error,
 )
 
@@ -84,6 +85,11 @@ class TestValidationError:
 
     def test_is_the_euclidean_norm(self, rng):
         residuals = rng.standard_normal(40)
+        assert validation_error(residuals) == float(np.linalg.norm(residuals))
+
+    @pytest.mark.parametrize("view", [slice(None, None, 3), slice(None, None, -1)])
+    def test_is_the_euclidean_norm_of_strided_views(self, rng, view):
+        residuals = rng.standard_normal(1001)[view]
         assert validation_error(residuals) == float(np.linalg.norm(residuals))
 
 
@@ -291,3 +297,85 @@ class TestFitNeuron:
             fit_neuron_from_init(
                 small_split, self.WIRING, None, None, np.zeros(5), TrainConfig()
             )
+
+
+def reference_fit(split, wiring, prior_a, prior_b, init, config):
+    """The projection loop written plainly from the public step functions.
+
+    Returns (weights, criterion, steps, trace, cause) where cause is how
+    the loop ended: "gain" (improvement below delta), "rise" (validation
+    error went up), "cap" (ran all steps, more than one) or "single"
+    (max_fit_steps == 1).
+    """
+    U_A = design_matrix(split.set_a, wiring, prior_a)
+    U_B = design_matrix(split.set_b, wiring, prior_b)
+    w_cur = np.asarray(init, dtype=float)
+    w_prev, prev_eb, trace = w_cur, math.inf, []
+    for k in range(1, config.max_fit_steps + 1):
+        eb = validation_error(sigmoid(w_cur @ U_B) - split.set_b.targets)
+        trace.append(eb)
+        if k >= 2 and prev_eb - eb < config.delta:
+            if eb > prev_eb:
+                return w_prev, eb, k, trace, "rise"
+            return w_cur, eb, k, trace, "gain"
+        if k < config.max_fit_steps:
+            residuals_a = sigmoid(w_cur @ U_A) - split.set_a.targets
+            w_prev, prev_eb = w_cur, eb
+            w_cur = projection_update(w_cur, U_A, residuals_a, config.chi)
+    cause = "single" if config.max_fit_steps == 1 else "cap"
+    return w_cur, trace[-1], len(trace), trace, cause
+
+
+@st.composite
+def fit_problems(draw, case):
+    """A split, a wiring over features and prior outputs, an init and a
+    config, shaped so that the loop usually ends the way ``case`` names."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_a = draw(st.integers(1, 40))
+    n_b = n_a if case == "rise" else draw(st.integers(1, 40))
+    m = draw(st.integers(2, 5))
+    layers = draw(st.integers(0, 3))
+    columns = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
+    wiring = tuple(PrevNeuron(r) for r in range(layers, 0, -1)) + tuple(
+        Feature(c) for c in columns
+    )
+    features_a = gen.normal(0.0, draw(st.floats(0.1, 5.0)), (n_a, m))
+    if case == "rise":
+        # fit towards 0 and validate against 1 on the same inputs
+        features_b, targets_a, targets_b = features_a, np.zeros(n_a), np.ones(n_b)
+        prior_a = [gen.uniform(0.0, 1.0, n_a) for _ in range(layers)]
+        prior_b = prior_a
+        init = np.zeros(len(wiring) + 1)
+    else:
+        features_b = gen.normal(0.0, 1.0, (n_b, m))
+        targets_a = (gen.random(n_a) < 0.5).astype(float)
+        targets_b = (gen.random(n_b) < 0.5).astype(float)
+        prior_a = [gen.uniform(0.0, 1.0, n_a) for _ in range(layers)]
+        prior_b = [gen.uniform(0.0, 1.0, n_b) for _ in range(layers)]
+        init = gen.normal(0.0, draw(st.floats(0.0, 3.0)), len(wiring) + 1)
+    steps = {"single": 1, "cap": draw(st.integers(2, 6))}.get(case, 100)
+    delta = {"cap": 1e-300, "rise": 1e-3}.get(case) or draw(st.floats(1e-4, 0.1))
+    config = TrainConfig(chi=draw(st.floats(0.1, 1.9)), delta=delta,
+                         max_fit_steps=steps)
+    split = make_split(features_a, targets_a, features_b, targets_b)
+    return split, wiring, prior_a or None, prior_b or None, init, config
+
+
+class TestKernelEquivalence:
+    """fit_neuron_from_init must reproduce the plain reference loop bit for
+    bit, however it arranges the work of a step."""
+
+    @pytest.mark.parametrize("case", ["gain", "rise", "cap", "single"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop_bit_for_bit(self, case, data):
+        split, wiring, prior_a, prior_b, init, config = data.draw(fit_problems(case))
+        weights, criterion, steps, trace, cause = reference_fit(
+            split, wiring, prior_a, prior_b, init, config
+        )
+        assume(cause == case)
+        result = fit_neuron_from_init(split, wiring, prior_a, prior_b, init, config)
+        assert result.weights.tobytes() == np.asarray(weights, dtype=float).tobytes()
+        assert result.eb_trace.tobytes() == np.asarray(trace).tobytes()
+        assert result.criterion == criterion
+        assert result.steps_taken == steps
