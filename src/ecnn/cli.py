@@ -315,10 +315,11 @@ def cmd_predict(args) -> int:
         config.classification_threshold if args.threshold is None else args.threshold
     )
     _, outputs = forward_batch(model, features)
-    lines = ["index,output,label"]
-    for i, value in enumerate(outputs):
-        lines.append(f"{i},{float(value)!r},{int(value >= threshold)}")
-    text = "\n".join(lines) + "\n"
+    labels = (outputs >= threshold).astype(int).tolist()
+    text = "index,output,label\n" + "".join(
+        f"{i},{value!r},{label}\n"
+        for i, (value, label) in enumerate(zip(outputs.tolist(), labels))
+    )
     if args.out is not None:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -59,14 +59,97 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     return header, body
 
 
-def _parse_cell(cell: str, row: int, column_name: str, path) -> float:
+def _label_index(header: list[str], label_column, path) -> int:
+    if isinstance(label_column, str) and label_column in header:
+        return header.index(label_column)
     try:
-        return float(cell)
-    except ValueError:
+        label_idx = int(label_column)
+    except (TypeError, ValueError):
         raise DataError(
-            f"{path}: non-numeric value {cell.strip()!r} at row {row}, "
-            f"column {column_name!r}"
+            f"{path}: no column named {label_column!r} in header {header}"
         ) from None
+    if not 0 <= label_idx < len(header):
+        raise DataError(
+            f"{path}: label column index {label_idx} out of range for "
+            f"{len(header)} columns"
+        )
+    return label_idx
+
+
+def _parse_cells(path, label_column) -> tuple[list[str], np.ndarray, int | None]:
+    """The reference parse: csv rows, then one ``float()`` per cell.
+
+    Slow, but it defines every accepted input and every error message.
+    """
+    header, body = _read_rows(path)
+    label_idx = None if label_column is None else _label_index(header, label_column, path)
+    values = np.empty((len(body), len(header)))
+    for i, row in enumerate(body):
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric value {cell.strip()!r} at row {i + 1}, "
+                    f"column {header[j]!r}"
+                ) from None
+            if j == label_idx and value not in (0.0, 1.0):
+                raise DataError(
+                    f"{path}: label must be 0 or 1, got {cell.strip()!r} "
+                    f"at row {i + 1}"
+                )
+            values[i, j] = value
+    return header, values, label_idx
+
+
+def _parse_columnar(path) -> tuple[list[str], np.ndarray] | None:
+    """The header via ``csv`` and the body parsed in C by ``np.loadtxt``.
+
+    Returns None whenever the result might differ from :func:`_parse_cells`:
+    numpy refused a cell (quoted cells, ``1_0``, non-ASCII digits, ragged or
+    whitespace-only lines) or the table does not match the header.  One
+    input still reads differently: an unquoted cell longer than the csv
+    module's field limit (131072 characters) is parsed as a number here,
+    where the per-cell parse reports malformed CSV.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = next((row for row in csv.reader(handle) if row), None)
+            if header is None:
+                return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                values = np.loadtxt(
+                    handle, delimiter=",", comments=None, ndmin=2, dtype=float
+                )
+    except (OSError, ValueError, csv.Error):  # ValueError covers decoding
+        return None
+    if values.shape[0] == 0 or values.shape[1] != len(header):
+        return None
+    return [cell.strip() for cell in header], values
+
+
+def _load_table(path, label_column) -> tuple[list[str], np.ndarray, int | None]:
+    """Header names, the value matrix and the label's column index (None
+    when ``label_column`` is None).  Row N in an error is the Nth data row
+    below the header.
+
+    The columnar parse serves well-formed files.  Any file it cannot vouch
+    for, or whose labels are not all 0 or 1, is parsed again cell by cell,
+    which loads it or raises its exact error.
+    """
+    parsed = _parse_columnar(path)
+    if parsed is not None:
+        header, values = parsed
+        if label_column is None:
+            return header, values, None
+        label_idx = _label_index(header, label_column, path)
+        labels = values[:, label_idx]
+        if np.all((labels == 0.0) | (labels == 1.0)):
+            return header, values, label_idx
+    return _parse_cells(path, label_column)
 
 
 def load_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -75,11 +158,7 @@ def load_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     Returns the value matrix and the header names.  Useful for unlabeled
     prediction inputs.
     """
-    header, body = _read_rows(path)
-    values = np.empty((len(body), len(header)))
-    for i, row in enumerate(body):
-        for j, cell in enumerate(row):
-            values[i, j] = _parse_cell(cell, i + 1, header[j], path)
+    header, values, _ = _load_table(path, None)
     return values, tuple(header)
 
 
@@ -90,41 +169,16 @@ def load_csv(path, label_column) -> Dataset:
     must parse as exactly 0 or 1; every other column becomes a feature in
     file order.
     """
-    header, body = _read_rows(path)
-    if isinstance(label_column, str) and label_column in header:
-        label_idx = header.index(label_column)
-    else:
-        try:
-            label_idx = int(label_column)
-        except (TypeError, ValueError):
-            raise DataError(
-                f"{path}: no column named {label_column!r} in header {header}"
-            ) from None
-        if not 0 <= label_idx < len(header):
-            raise DataError(
-                f"{path}: label column index {label_idx} out of range for "
-                f"{len(header)} columns"
-            )
-    feature_names = tuple(
-        name for j, name in enumerate(header) if j != label_idx
+    header, values, label_idx = _load_table(path, label_column)
+    return Dataset(
+        np.delete(values, label_idx, axis=1),
+        values[:, label_idx],
+        tuple(header[:label_idx] + header[label_idx + 1:]),
     )
-    features = np.empty((len(body), len(header) - 1))
-    targets = np.empty(len(body))
-    for i, row in enumerate(body):
-        k = 0
-        for j, cell in enumerate(row):
-            value = _parse_cell(cell, i + 1, header[j], path)
-            if j == label_idx:
-                if value not in (0.0, 1.0):
-                    raise DataError(
-                        f"{path}: label must be 0 or 1, got {cell.strip()!r} "
-                        f"at row {i + 1}"
-                    )
-                targets[i] = value
-            else:
-                features[i, k] = value
-                k += 1
-    return Dataset(features, targets, feature_names)
+
+
+# Rows formatted per write, so the file text never sits in memory whole.
+_WRITE_BLOCK_ROWS = 1000
 
 
 def write_csv(path, dataset: Dataset, label_name: str = "y") -> None:
@@ -134,13 +188,17 @@ def write_csv(path, dataset: Dataset, label_name: str = "y") -> None:
     so reading the file back reproduces the dataset bit for bit.
     """
     names = dataset.feature_names or tuple(f"x{j}" for j in range(dataset.m))
-    lines = [",".join(names + (label_name,))]
-    for i in range(dataset.n):
-        cells = [repr(float(v)) for v in dataset.features[i]]
-        cells.append(str(int(dataset.targets[i])))
-        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(names + (label_name,)) + "\n")
+        for a in range(0, dataset.n, _WRITE_BLOCK_ROWS):
+            b = a + _WRITE_BLOCK_ROWS
+            lines = []
+            for row, label in zip(
+                dataset.features[a:b].tolist(), dataset.targets[a:b].tolist()
+            ):
+                row.append(int(label))
+                lines.append(",".join(map(repr, row)))
+            handle.write("\n".join(lines) + "\n")
 
 
 def normalize(train: Dataset) -> tuple[Dataset, FeatureStats]:

@@ -97,7 +97,7 @@ def _cell_messages(bad: np.ndarray) -> Iterator[str]:
     formatted only as far as the caller reads."""
     for i in np.flatnonzero(bad.any(axis=1)):
         for j in np.flatnonzero(bad[i]):
-            yield f"non-finite feature value at row {int(i)}, column {int(j)}"
+            yield f"non-finite feature value at row {int(i) + 1}, column {int(j)}"
 
 
 def _violations(d: Dataset) -> tuple[Iterator[str], int]:
@@ -113,7 +113,7 @@ def _violations(d: Dataset) -> tuple[Iterator[str], int]:
     bad_cells = ~np.isfinite(d.features)
     messages = itertools.chain(
         head,
-        (f"non-binary target at row {int(i)}" for i in bad_targets),
+        (f"non-binary target at row {int(i) + 1}" for i in bad_targets),
         _cell_messages(bad_cells),
     )
     return messages, len(head) + len(bad_targets) + int(np.count_nonzero(bad_cells))
@@ -134,7 +134,8 @@ def _raise_bounded(what: str, messages: Iterator[str], total: int) -> None:
 def validate_dataset(d: Dataset) -> list[str]:
     """Check every Dataset invariant and return an itemized violation list.
 
-    An empty list means the dataset is valid.
+    An empty list means the dataset is valid.  Rows are numbered from 1,
+    as data rows below a CSV header are; columns from 0.
     """
     return list(_violations(d)[0])
 

@@ -274,7 +274,7 @@ class TestPredict:
             "--out", str(out), *label,
         )
         assert code == 2
-        assert "non-finite feature value at row 1, column 1" in stderr
+        assert "non-finite feature value at row 2, column 1" in stderr
         assert not out.exists() and stdout == ""
 
     def test_non_finite_message_matches_eval(self, tmp_path, saved_model, capsys):

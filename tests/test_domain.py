@@ -63,7 +63,7 @@ class TestValidateDataset:
     def test_non_binary_target_is_reported_with_row(self):
         d = Dataset([[1, 2], [3, 4]], [0, 2])
         violations = validate_dataset(d)
-        assert violations == ["non-binary target at row 1"]
+        assert violations == ["non-binary target at row 2"]
 
     def test_single_feature_is_rejected(self):
         d = Dataset([[1.0], [2.0]], [0, 1])
@@ -75,7 +75,7 @@ class TestValidateDataset:
 
     def test_non_finite_feature_is_reported_with_position(self):
         d = Dataset([[1, 2], [3, np.nan]], [0, 1])
-        assert "non-finite feature value at row 1, column 1" in validate_dataset(d)
+        assert "non-finite feature value at row 2, column 1" in validate_dataset(d)
 
     def test_require_valid_raises_with_all_violations(self):
         d = Dataset([[np.inf], [2.0]], [0, 3])
@@ -98,7 +98,7 @@ class TestValidateDataset:
         assert "1000000 violations" in message
         assert "and 999990 more" in message
         assert message.count("non-finite feature value") == 10
-        assert "row 0, column 9" in message and "column 10" not in message
+        assert "row 1, column 9" in message and "column 10" not in message
 
     def test_require_valid_lists_violations_in_order_before_the_cap(self):
         features = np.ones((12, 2))
@@ -108,7 +108,7 @@ class TestValidateDataset:
             require_valid_dataset(d)
         message = str(excinfo.value)
         assert message.startswith("invalid dataset (12 violations): ")
-        assert "non-binary target at row 9; and 2 more" in message
+        assert "non-binary target at row 10; and 2 more" in message
         assert "non-finite" not in message
 
     def test_require_valid_small_message_lists_everything(self):
@@ -116,8 +116,8 @@ class TestValidateDataset:
         with pytest.raises(DataError) as excinfo:
             require_valid_dataset(d)
         assert str(excinfo.value) == (
-            "invalid dataset: non-binary target at row 1; "
-            "non-finite feature value at row 0, column 1"
+            "invalid dataset: non-binary target at row 2; "
+            "non-finite feature value at row 1, column 1"
         )
 
 
@@ -127,7 +127,7 @@ class TestRequireFiniteFeatures:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_is_named_by_position(self, value):
-        with pytest.raises(DataError, match="non-finite feature value at row 1, column 0"):
+        with pytest.raises(DataError, match="non-finite feature value at row 2, column 0"):
             require_finite_features([[1.0, 2.0], [value, 3.0]])
 
     def test_message_is_bounded(self):
