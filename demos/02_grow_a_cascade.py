@@ -10,12 +10,12 @@ validation criterion.
 from ecnn import (
     TrainConfig,
     error_rate,
-    evolve,
     rng_for_run,
     split_odd_even,
     synth_dataset,
     used_features,
 )
+from ecnn.evolve import evolve
 
 
 def main():

@@ -8,15 +8,14 @@ the same time.  A restart harness repeats growth from many random
 initializations and keeps the model with the lowest training error.
 
 The command-line interface lives in :mod:`ecnn.cli` (installed as the
-``ecnn`` script); everything below is the library surface.
+``ecnn`` script); everything below is the library surface.  Growing one
+cascade is ``ecnn.evolve.evolve``: the package attribute ``ecnn.evolve``
+is the module, so it is not re-exported here.
 """
 
 from .cascade import (
-    accuracy,
-    classify,
     classify_batch,
     error_rate,
-    forward,
     forward_batch,
     used_features,
 )
@@ -57,9 +56,7 @@ from .evolve import (
     anchor_model,
     build_candidate,
     child_seed,
-    evolve,
     multi_run,
-    rank_features,
     rng_for_run,
     select_best,
 )
@@ -67,11 +64,9 @@ from .fitting import (
     FitResult,
     SIGMOID_CLAMP,
     design_matrix,
-    error_vector,
     fit_neuron,
     fit_neuron_from_init,
     init_weights,
-    neuron_output,
     projection_update,
     sigmoid,
     validation_error,
@@ -112,22 +107,17 @@ __all__ = [
     "SIGMOID_CLAMP",
     "FitResult",
     "sigmoid",
-    "neuron_output",
     "design_matrix",
-    "error_vector",
     "validation_error",
     "projection_update",
     "init_weights",
     "fit_neuron",
     "fit_neuron_from_init",
     # cascade
-    "forward",
     "forward_batch",
-    "classify",
     "classify_batch",
     "used_features",
     "error_rate",
-    "accuracy",
     # evolve
     "STOP_FEATURES_EXHAUSTED",
     "STOP_MAX_LAYERS",
@@ -135,9 +125,7 @@ __all__ = [
     "RejectedRecord",
     "EvolveTrace",
     "RunSummary",
-    "rank_features",
     "build_candidate",
-    "evolve",
     "anchor_model",
     "child_seed",
     "rng_for_run",

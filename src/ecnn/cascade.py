@@ -9,35 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import CascadeModel, Dataset, Feature
+from .domain import CascadeModel, Dataset
 from .errors import DataError
-from .fitting import sigmoid
+from .fitting import design_matrix, sigmoid
 
-__all__ = [
-    "forward",
-    "forward_batch",
-    "classify",
-    "classify_batch",
-    "used_features",
-    "error_rate",
-    "accuracy",
-]
-
-
-def _wired_rows(wiring, X: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Stack one input row per wiring source: earlier outputs or feature columns."""
-    rows = []
-    for src in wiring:
-        if isinstance(src, Feature):
-            if src.column >= X.shape[1]:
-                raise DataError(
-                    f"model reads feature column {src.column}, data has "
-                    f"{X.shape[1]} columns"
-                )
-            rows.append(X[:, src.column])
-        else:
-            rows.append(prior[src.layer - 1])
-    return np.vstack(rows)
+__all__ = ["forward_batch", "classify_batch", "used_features", "error_rate"]
 
 
 def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray]:
@@ -61,24 +37,11 @@ def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray
     n = X.shape[0]
     outputs = np.empty((model.size, n))
     for idx, neuron in enumerate(model.neurons):
-        rows = _wired_rows(neuron.wiring, X, outputs[:idx])
-        outputs[idx] = sigmoid(neuron.weights[0] + neuron.weights[1:] @ rows)
+        # The bias is added apart from the product: folding it into
+        # ``weights @ U`` as fitting does changes the last bits of scores.
+        U = design_matrix(X, neuron.wiring, outputs[:idx])
+        outputs[idx] = sigmoid(neuron.weights[0] + neuron.weights[1:] @ U[1:])
     return outputs, outputs[-1]
-
-
-def forward(model: CascadeModel, example) -> tuple[np.ndarray, float]:
-    """Evaluate one example; returns (per-neuron outputs, final output)."""
-    x = np.asarray(example, dtype=float)
-    if x.ndim != 1:
-        raise DataError(f"an example must be a vector, got shape {x.shape}")
-    outputs, final = forward_batch(model, x[np.newaxis, :])
-    return outputs[:, 0], float(final[0])
-
-
-def classify(model: CascadeModel, example, threshold: float = 0.5) -> int:
-    """Label one example: 1 when the final output reaches the threshold."""
-    _, final = forward(model, example)
-    return int(final >= threshold)
 
 
 def classify_batch(model: CascadeModel, features, threshold: float = 0.5) -> np.ndarray:
@@ -103,8 +66,3 @@ def error_rate(model: CascadeModel, data: Dataset, threshold: float = 0.5) -> fl
     labels = classify_batch(model, data.features, threshold)
     wrong = int(np.count_nonzero(labels != data.targets))
     return 100.0 * wrong / data.n
-
-
-def accuracy(model: CascadeModel, data: Dataset, threshold: float = 0.5) -> float:
-    """Percentage labeled correctly; complements error_rate to exactly 100."""
-    return 100.0 - error_rate(model, data, threshold)

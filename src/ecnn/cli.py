@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import classify_batch, error_rate, forward_batch
+from .cascade import classify_batch, forward_batch
 from .data_io import (
     ZeroVarianceWarning,
     load_csv,
@@ -337,7 +337,6 @@ def cmd_eval(args) -> int:
     threshold = (
         config.classification_threshold if args.threshold is None else args.threshold
     )
-    err = error_rate(model, data, threshold)
     labels = classify_batch(model, data.features, threshold)
     positives = data.targets == 1.0
     predicted = labels == 1.0
@@ -345,6 +344,7 @@ def cmd_eval(args) -> int:
     fp = int(np.count_nonzero(predicted & ~positives))
     fn = int(np.count_nonzero(~predicted & positives))
     tn = int(np.count_nonzero(~predicted & ~positives))
+    err = 100.0 * (fp + fn) / data.n
     print(f"examples: {data.n}")
     print(f"error rate: {err:.2f}%")
     print(f"accuracy: {100.0 - err:.2f}%")

@@ -170,10 +170,13 @@ def load_csv(path, label_column) -> Dataset:
     file order.
     """
     header, values, label_idx = _load_table(path, label_column)
+    # Copy the labels and drop the parsed table before Dataset copies the
+    # features, so at most two feature-sized matrices are alive at once.
+    targets = values[:, label_idx].copy()
+    features = np.delete(values, label_idx, axis=1)
+    del values
     return Dataset(
-        np.delete(values, label_idx, axis=1),
-        values[:, label_idx],
-        tuple(header[:label_idx] + header[label_idx + 1:]),
+        features, targets, tuple(header[:label_idx] + header[label_idx + 1:])
     )
 
 

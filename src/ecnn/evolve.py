@@ -45,7 +45,6 @@ __all__ = [
     "RejectedRecord",
     "EvolveTrace",
     "RunSummary",
-    "rank_features",
     "build_candidate",
     "evolve",
     "anchor_model",
@@ -169,14 +168,19 @@ class RunSummary:
             raise ValueError("a failed run has no model")
 
 
-def _ranking_fits(
-    split: SplitAB, init: np.ndarray, config: TrainConfig
-) -> list[FitResult | None]:
-    """Fit one single-input neuron per feature, all from the same init.
+def _rank(
+    split: SplitAB, config: TrainConfig, rng: np.random.Generator
+) -> tuple[tuple[FitnessRecord, ...], FitResult]:
+    """Score every feature by its single-input neuron's criterion, ascending,
+    and return the ranking with the anchor's fit.
 
-    Sharing the init makes scores directly comparable: byte-identical
-    feature columns get exactly equal criteria.  A failed fit yields None.
+    All m fits start from one init, the generator's first draw, so
+    byte-identical feature columns get exactly equal criteria.  Ties break
+    toward the lower column index.  A feature whose fit fails ranks last
+    with an infinite score.  The head of the list is the anchor and its
+    score is the starting criterion of growth.
     """
+    init = init_weights(2, config.init_sigma, rng)
     fits: list[FitResult | None] = []
     for column in range(split.m):
         try:
@@ -187,28 +191,15 @@ def _ranking_fits(
             )
         except EcnnError:
             fits.append(None)
-    return fits
-
-
-def _sorted_records(fits: list[FitResult | None]) -> tuple[FitnessRecord, ...]:
     records = [
         FitnessRecord(column, math.inf if fit is None else fit.criterion)
         for column, fit in enumerate(fits)
     ]
-    return tuple(sorted(records, key=lambda rec: (rec.score, rec.feature)))
-
-
-def rank_features(
-    split: SplitAB, config: TrainConfig, rng: np.random.Generator
-) -> tuple[FitnessRecord, ...]:
-    """Score every feature by its single-input neuron's criterion, ascending.
-
-    Ties break toward the lower column index.  A feature whose fit fails
-    ranks last with an infinite score.  The head of the list is the anchor
-    and its score is the starting criterion of growth.
-    """
-    init = init_weights(2, config.init_sigma, rng)
-    return _sorted_records(_ranking_fits(split, init, config))
+    ranked = tuple(sorted(records, key=lambda rec: (rec.score, rec.feature)))
+    anchor_fit = fits[ranked[0].feature]
+    if anchor_fit is None:
+        raise EcnnError("every single-feature fit failed; nothing to grow from")
+    return ranked, anchor_fit
 
 
 def build_candidate(
@@ -257,13 +248,8 @@ def evolve(
     ``config.max_layers``.  If nothing is ever accepted, the result is the
     anchor's single-input neuron alone, flagged degenerate in the trace.
     """
-    init = init_weights(2, config.init_sigma, rng)
-    fits = _ranking_fits(split, init, config)
-    ranked = _sorted_records(fits)
+    ranked, anchor_fit = _rank(split, config, rng)
     anchor = ranked[0].feature
-    anchor_fit = fits[anchor]
-    if anchor_fit is None:
-        raise EcnnError("every single-feature fit failed; nothing to grow from")
 
     neurons: list[NeuronSpec] = []
     prior_a: list[np.ndarray] = []
@@ -286,12 +272,10 @@ def evolve(
         if fit.criterion < history[-1]:
             neuron = NeuronSpec(layer=r, wiring=wiring, weights=fit.weights)
             neurons.append(neuron)
-            prior_a.append(
-                sigmoid(fit.weights @ design_matrix(split.set_a, wiring, prior_a))
-            )
-            prior_b.append(
-                sigmoid(fit.weights @ design_matrix(split.set_b, wiring, prior_b))
-            )
+            U_a = design_matrix(split.set_a.features, wiring, prior_a)
+            U_b = design_matrix(split.set_b.features, wiring, prior_b)
+            prior_a.append(sigmoid(fit.weights @ U_a))
+            prior_b.append(sigmoid(fit.weights @ U_b))
             history.append(fit.criterion)
             accepted.append(AcceptedRecord(r, candidate, fit.criterion))
             if config.advance_on_accept:
@@ -333,12 +317,7 @@ def anchor_model(
     fresh generator from the same seed it reproduces the anchor neuron of
     that run; this is the baseline a grown cascade has to beat.
     """
-    init = init_weights(2, config.init_sigma, rng)
-    fits = _ranking_fits(split, init, config)
-    ranked = _sorted_records(fits)
-    anchor_fit = fits[ranked[0].feature]
-    if anchor_fit is None:
-        raise EcnnError("every single-feature fit failed; nothing to grow from")
+    ranked, anchor_fit = _rank(split, config, rng)
     return _degenerate_model(split, ranked[0].feature, anchor_fit)
 
 

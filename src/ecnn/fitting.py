@@ -15,16 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .domain import Dataset, Feature, PrevNeuron, SplitAB, TrainConfig
+from .domain import Feature, PrevNeuron, SplitAB, TrainConfig
 from .errors import DataError, SingularInputError
 
 __all__ = [
     "SIGMOID_CLAMP",
     "FitResult",
     "sigmoid",
-    "neuron_output",
     "design_matrix",
-    "error_vector",
     "validation_error",
     "projection_update",
     "init_weights",
@@ -50,43 +48,26 @@ def sigmoid(x):
     return np.clip(p, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
 
 
-def neuron_output(inputs, weights) -> float:
-    """Sigmoid unit output for one example.
+def design_matrix(features, wiring, prior_outputs) -> np.ndarray:
+    """Stack the wired inputs of one neuron over the rows of ``features``.
 
-    ``weights`` has the bias first, so the activation is
-    ``weights[0] + inputs @ weights[1:]``.
+    The one place a wiring is resolved, for fitting and serving alike.
+    ``features`` is the (n, m) feature matrix and ``prior_outputs`` holds
+    one row of n outputs per already-built neuron, indexed by layer (None
+    or empty before the first).  Returns a (p + 1, n) matrix whose first
+    row is the constant bias input 1; the remaining rows follow wiring
+    order.
     """
-    u = np.asarray(inputs, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if u.ndim != 1 or w.ndim != 1:
-        raise DataError("inputs and weights must be vectors")
-    if len(w) != len(u) + 1:
-        raise DataError(
-            f"{len(u)} inputs need {len(u) + 1} weights (bias first), got {len(w)}"
-        )
-    return float(sigmoid(w[0] + u @ w[1:]))
-
-
-def _prior_matrix(prior_outputs, n: int) -> np.ndarray:
+    X = np.asarray(features, dtype=float)
+    n, m = X.shape
     if prior_outputs is None or len(prior_outputs) == 0:
-        return np.zeros((0, n))
-    arr = np.asarray(prior_outputs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != n:
+        prior = np.zeros((0, n))
+    else:
+        prior = np.asarray(prior_outputs, dtype=float)
+    if prior.ndim != 2 or prior.shape[1] != n:
         raise DataError(
-            f"prior outputs must be stacked as (layers, {n}), got shape {arr.shape}"
+            f"prior outputs must be stacked as (layers, {n}), got shape {prior.shape}"
         )
-    return arr
-
-
-def design_matrix(subset: Dataset, wiring, prior_outputs) -> np.ndarray:
-    """Stack the wired inputs of one neuron over all examples of a subset.
-
-    Returns a (p + 1, n) matrix whose first row is the constant bias input
-    1; the remaining rows follow wiring order.  ``prior_outputs`` holds one
-    row per already-built neuron, indexed by layer.
-    """
-    n = subset.n
-    prior = _prior_matrix(prior_outputs, n)
     rows = [np.ones(n)]
     for src in wiring:
         if isinstance(src, PrevNeuron):
@@ -97,27 +78,15 @@ def design_matrix(subset: Dataset, wiring, prior_outputs) -> np.ndarray:
                 )
             rows.append(prior[src.layer - 1])
         elif isinstance(src, Feature):
-            if src.column >= subset.m:
+            if src.column >= m:
                 raise DataError(
                     f"wiring references feature column {src.column} but the "
-                    f"data has {subset.m} columns"
+                    f"data has {m} columns"
                 )
-            rows.append(subset.features[:, src.column])
+            rows.append(X[:, src.column])
         else:
             raise DataError(f"unknown wiring source {src!r}")
     return np.vstack(rows)
-
-
-def error_vector(subset: Dataset, wiring, prior_outputs, weights) -> np.ndarray:
-    """Per-example residuals sigmoid(output) - target over a subset."""
-    U = design_matrix(subset, wiring, prior_outputs)
-    w = np.asarray(weights, dtype=float)
-    if len(w) != U.shape[0]:
-        raise DataError(
-            f"wiring of {U.shape[0] - 1} inputs needs {U.shape[0]} weights, "
-            f"got {len(w)}"
-        )
-    return _residuals_into(np.empty(subset.n), w, U, subset.targets)
 
 
 def _residuals_into(out, weights, design, targets) -> np.ndarray:
@@ -239,8 +208,8 @@ def fit_neuron_from_init(
     than ``config.delta``, first checked at step 2, or at
     ``config.max_fit_steps``.
     """
-    U_A = design_matrix(split.set_a, wiring, prior_outputs_a)
-    U_B = design_matrix(split.set_b, wiring, prior_outputs_b)
+    U_A = design_matrix(split.set_a.features, wiring, prior_outputs_a)
+    U_B = design_matrix(split.set_b.features, wiring, prior_outputs_b)
     y_a = split.set_a.targets
     y_b = split.set_b.targets
     w_cur = np.asarray(init, dtype=float)

@@ -23,7 +23,6 @@ from ecnn import (
     anchor_model,
     build_candidate,
     error_rate,
-    evolve,
     fit_neuron,
     forward_batch,
     load_model,
@@ -37,6 +36,7 @@ from ecnn import (
     synth_dataset,
 )
 from ecnn.cli import run as cli_run
+from ecnn.evolve import evolve
 
 RELEVANT = (10, 23, 36, 60)
 

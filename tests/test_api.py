@@ -1,0 +1,120 @@
+"""The public surface: the exported names, the module layout, and the demos."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import ecnn
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+
+PUBLIC_API = [
+    "__version__",
+    # domain
+    "Dataset",
+    "SplitAB",
+    "PrevNeuron",
+    "Feature",
+    "InputSource",
+    "NeuronSpec",
+    "FeatureStats",
+    "CascadeModel",
+    "TrainConfig",
+    "FitnessRecord",
+    "validate_dataset",
+    "require_valid_dataset",
+    "require_finite_features",
+    # errors
+    "EcnnError",
+    "DataError",
+    "SingularInputError",
+    "ModelFormatError",
+    # fitting
+    "SIGMOID_CLAMP",
+    "FitResult",
+    "sigmoid",
+    "design_matrix",
+    "validation_error",
+    "projection_update",
+    "init_weights",
+    "fit_neuron",
+    "fit_neuron_from_init",
+    # cascade
+    "forward_batch",
+    "classify_batch",
+    "used_features",
+    "error_rate",
+    # evolve
+    "STOP_FEATURES_EXHAUSTED",
+    "STOP_MAX_LAYERS",
+    "AcceptedRecord",
+    "RejectedRecord",
+    "EvolveTrace",
+    "RunSummary",
+    "build_candidate",
+    "anchor_model",
+    "child_seed",
+    "rng_for_run",
+    "select_best",
+    "multi_run",
+    # data io
+    "ZeroVarianceWarning",
+    "SynthTruth",
+    "load_csv",
+    "load_matrix_csv",
+    "write_csv",
+    "normalize",
+    "split_odd_even",
+    "split_train_test",
+    "synth_dataset",
+    # model io
+    "FORMAT_VERSION",
+    "save_model",
+    "load_model",
+    "dump_canonical_json",
+    "model_to_payload",
+    "payload_to_model",
+]
+
+
+class TestExports:
+    def test_all_is_pinned(self):
+        assert ecnn.__all__ == PUBLIC_API
+
+    def test_every_exported_name_resolves(self):
+        assert [name for name in PUBLIC_API if not hasattr(ecnn, name)] == []
+
+    def test_test_only_helpers_are_not_exported(self):
+        removed = ["neuron_output", "error_vector", "forward", "classify",
+                   "accuracy", "rank_features"]
+        assert [name for name in removed if hasattr(ecnn, name)] == []
+
+
+class TestModuleNames:
+    def test_ecnn_evolve_is_the_module(self):
+        import ecnn.evolve as E
+
+        assert isinstance(E, types.ModuleType)
+        assert E is importlib.import_module("ecnn.evolve")
+        assert callable(E.evolve)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

@@ -18,6 +18,7 @@ from ecnn import (
 )
 from ecnn.cli import OUT_DIR_ENV, run
 
+import ecnn.cascade
 import ecnn.cli
 
 
@@ -308,6 +309,27 @@ class TestEval:
         assert "error rate: 0.00%" in stdout
         assert "accuracy: 100.00%" in stdout
         assert "confusion: tp=2 fn=0 fp=0 tn=2" in stdout
+
+    def test_runs_the_forward_pass_once(self, tmp_path, saved_model, capsys,
+                                        monkeypatch):
+        calls = []
+        original = ecnn.cascade.forward_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ecnn.cascade, "forward_batch", counted)
+        data = tmp_path / "d.csv"
+        data.write_text("x0,x1,y\n0.0,-2.0,1\n0.0,2.0,1\n", encoding="utf-8")
+        code, stdout, _ = invoke(
+            capsys, "eval", "--model", str(saved_model), "--data", str(data),
+            "--label", "y",
+        )
+        assert code == 0
+        assert "error rate: 50.00%" in stdout
+        assert "confusion: tp=1 fn=1 fp=0 tn=0" in stdout
+        assert len(calls) == 1
 
     def test_error_rate_is_rounded_to_two_places(self, tmp_path, capsys):
         model = build_cascade([np.array([50.0, 0.0, 0.0])], candidate_features=[1])

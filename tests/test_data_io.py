@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,23 @@ class TestLoadCsv:
         path = write_text(tmp_path / "d.csv", 'a,b,y\n"' + "1" * 200_000 + '",2,1\n')
         with pytest.raises(DataError, match="malformed CSV"):
             load(path)
+
+    def test_peak_memory_stays_near_the_loaded_dataset(self, tmp_path):
+        # The parsed table, the feature columns cut from it and the
+        # Dataset's own copy must never all be alive at once.
+        gen = np.random.default_rng(3)
+        data = Dataset(gen.standard_normal((2000, 30)),
+                       (gen.random(2000) < 0.5).astype(float))
+        path = tmp_path / "d.csv"
+        write_csv(path, data)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path, label_column="y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = loaded.features.nbytes + loaded.targets.nbytes
+        assert peak <= 2.5 * kept
 
 
 class TestWriteCsv:

@@ -25,16 +25,15 @@ from ecnn import (
     build_candidate,
     child_seed,
     error_rate,
-    evolve,
     forward_batch,
     multi_run,
-    rank_features,
     rng_for_run,
     select_best,
     split_odd_even,
     synth_dataset,
     used_features,
 )
+from ecnn.evolve import evolve
 
 
 def and_dataset(n=400, seed=55):
@@ -74,13 +73,19 @@ class TestBuildCandidate:
             build_candidate(3, anchor=0, candidate_feature=1, prior_layer_count=1)
 
 
+def ranking_of(split, config, rng):
+    """The ranking of a growth run: the generator's first draw feeds it,
+    so it is the list a ranking of its own would give."""
+    return evolve(split, config, rng)[1].ranked_features
+
+
 class TestRankFeatures:
     def test_label_copy_ranks_first(self):
         gen = np.random.default_rng(13)
         targets = (gen.random(60) < 0.5).astype(float)
         features = np.column_stack([targets, gen.standard_normal((60, 3))])
         split = split_odd_even(Dataset(features, targets))
-        ranked = rank_features(split, TrainConfig(), np.random.default_rng(1))
+        ranked = ranking_of(split, TrainConfig(), np.random.default_rng(1))
         assert ranked[0].feature == 0
 
     def test_identical_columns_tie_exactly_with_lower_index_first(self):
@@ -88,25 +93,25 @@ class TestRankFeatures:
         column = gen.standard_normal(40)
         features = np.column_stack([gen.standard_normal(40), column, column])
         split = split_odd_even(Dataset(features, (gen.random(40) < 0.5).astype(float)))
-        ranked = rank_features(split, TrainConfig(), np.random.default_rng(2))
+        ranked = ranking_of(split, TrainConfig(), np.random.default_rng(2))
         scores = {record.feature: record.score for record in ranked}
         assert scores[1] == scores[2]
         position_1 = [r.feature for r in ranked].index(1)
         assert ranked[position_1 + 1].feature == 2
 
     def test_two_features_give_two_records(self, small_split):
-        ranked = rank_features(small_split, TrainConfig(), np.random.default_rng(3))
+        ranked = ranking_of(small_split, TrainConfig(), np.random.default_rng(3))
         assert len(ranked) == small_split.m
         assert sorted(r.feature for r in ranked) == list(range(small_split.m))
 
     def test_scores_ascend(self, small_split):
-        ranked = rank_features(small_split, TrainConfig(), np.random.default_rng(4))
+        ranked = ranking_of(small_split, TrainConfig(), np.random.default_rng(4))
         scores = [r.score for r in ranked]
         assert scores == sorted(scores)
 
     def test_same_seed_reproduces_ranking(self, small_split):
-        first = rank_features(small_split, TrainConfig(), np.random.default_rng(5))
-        second = rank_features(small_split, TrainConfig(), np.random.default_rng(5))
+        first = ranking_of(small_split, TrainConfig(), np.random.default_rng(5))
+        second = ranking_of(small_split, TrainConfig(), np.random.default_rng(5))
         assert first == second
 
 

@@ -20,11 +20,9 @@ from ecnn import (
     SplitAB,
     TrainConfig,
     design_matrix,
-    error_vector,
     fit_neuron,
     fit_neuron_from_init,
     init_weights,
-    neuron_output,
     projection_update,
     sigmoid,
     validation_error,
@@ -40,27 +38,24 @@ def make_split(features_a, targets_a, features_b, targets_b):
     return SplitAB(a, b, np.arange(n_a), np.arange(n_a, n_a + b.n))
 
 
-class TestNeuronOutput:
-    def test_zero_weights_give_one_half(self):
-        assert neuron_output([3.0, -2.0], [0.0, 0.0, 0.0]) == 0.5
+class TestSigmoid:
+    def test_zero_gives_one_half(self):
+        assert sigmoid(0.0) == 0.5
 
     def test_log_three_gives_three_quarters(self):
-        assert neuron_output([1.0], [0.0, math.log(3.0)]) == pytest.approx(
-            0.75, abs=1e-15
-        )
+        assert sigmoid(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
 
     def test_saturation_clamps(self):
-        assert neuron_output([1.0], [0.0, 100.0]) == 1.0 - SIGMOID_CLAMP
-        assert neuron_output([1.0], [0.0, -100.0]) == SIGMOID_CLAMP
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(DataError, match="weights"):
-            neuron_output([1.0, 2.0], [0.0, 1.0])
+        assert sigmoid(100.0) == 1.0 - SIGMOID_CLAMP
+        assert sigmoid(-100.0) == SIGMOID_CLAMP
+        np.testing.assert_array_equal(
+            sigmoid(np.array([100.0, -100.0])), [1.0 - SIGMOID_CLAMP, SIGMOID_CLAMP]
+        )
 
     @given(st.lists(finite_floats, min_size=1, max_size=5))
     def test_output_is_always_inside_unit_interval(self, inputs):
-        out = neuron_output(inputs, [0.5] * (len(inputs) + 1))
-        assert SIGMOID_CLAMP <= out <= 1.0 - SIGMOID_CLAMP
+        out = sigmoid(0.5 + 0.5 * np.asarray(inputs))
+        assert np.all((SIGMOID_CLAMP <= out) & (out <= 1.0 - SIGMOID_CLAMP))
 
 
 class TestValidationError:
@@ -165,42 +160,27 @@ class TestInitWeights:
 
 class TestDesignMatrix:
     def test_bias_row_comes_first(self):
-        d = Dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
-        U = design_matrix(d, (Feature(1), Feature(0)), None)
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        U = design_matrix(X, (Feature(1), Feature(0)), None)
         np.testing.assert_array_equal(U, [[1.0, 1.0], [2.0, 4.0], [1.0, 3.0]])
 
     def test_previous_outputs_are_picked_by_layer(self):
-        d = Dataset([[1.0, 2.0]], [0])
+        X = np.array([[1.0, 2.0]])
         prior = [np.array([0.25]), np.array([0.75])]
-        U = design_matrix(d, (PrevNeuron(2), PrevNeuron(1)), prior)
+        U = design_matrix(X, (PrevNeuron(2), PrevNeuron(1)), prior)
         np.testing.assert_array_equal(U, [[1.0], [0.75], [0.25]])
 
     def test_missing_prior_output_raises(self):
-        d = Dataset([[1.0, 2.0]], [0])
         with pytest.raises(DataError, match="prior"):
-            design_matrix(d, (PrevNeuron(1), Feature(0)), None)
+            design_matrix(np.array([[1.0, 2.0]]), (PrevNeuron(1), Feature(0)), None)
+
+    def test_prior_outputs_of_the_wrong_length_raise(self):
+        with pytest.raises(DataError, match="stacked"):
+            design_matrix(np.array([[1.0, 2.0]]), (PrevNeuron(1),), [np.zeros(2)])
 
     def test_column_out_of_range_raises(self):
-        d = Dataset([[1.0, 2.0]], [0])
         with pytest.raises(DataError, match="column 5"):
-            design_matrix(d, (Feature(5),), None)
-
-
-class TestErrorVector:
-    def test_zero_weights_on_zero_targets(self):
-        d = Dataset([[1.0, 2.0], [3.0, 4.0]], [0, 0])
-        residuals = error_vector(d, (Feature(0), Feature(1)), None, np.zeros(3))
-        np.testing.assert_array_equal(residuals, [0.5, 0.5])
-
-    def test_single_example_arithmetic(self):
-        d = Dataset([[1.0, 0.0]], [1])
-        residuals = error_vector(d, (Feature(0),), None, [0.0, math.log(3.0)])
-        np.testing.assert_allclose(residuals, [-0.25], atol=1e-15)
-
-    def test_weight_count_mismatch_raises(self):
-        d = Dataset([[1.0, 2.0]], [0])
-        with pytest.raises(DataError, match="weights"):
-            error_vector(d, (Feature(0),), None, [0.0, 1.0, 2.0])
+            design_matrix(np.array([[1.0, 2.0]]), (Feature(5),), None)
 
 
 class TestFitResult:
@@ -292,6 +272,24 @@ class TestFitNeuron:
                             np.random.default_rng(29))
         assert result.eb_trace[-1] < result.eb_trace[0]
 
+    def test_first_criterion_is_the_residual_norm_of_the_init(self):
+        # zero weights output 1/2 everywhere, so every residual is 1/2
+        features = np.array([[1.0, 2.0], [3.0, 4.0]])
+        split = make_split(features, np.zeros(2), features, np.zeros(2))
+        config = TrainConfig(max_fit_steps=1)
+        result = fit_neuron_from_init(split, self.WIRING, None, None, np.zeros(3),
+                                      config)
+        assert result.eb_trace.tolist() == [math.sqrt(0.5)]
+
+    def test_first_criterion_single_example_arithmetic(self):
+        # sigmoid(log 3) = 3/4 against a target of 1 leaves a residual of 1/4
+        features = np.array([[1.0, 0.0]])
+        split = make_split(features, np.ones(1), features, np.ones(1))
+        config = TrainConfig(max_fit_steps=1)
+        result = fit_neuron_from_init(split, (Feature(0),), None, None,
+                                      np.array([0.0, math.log(3.0)]), config)
+        assert result.criterion == pytest.approx(0.25, abs=1e-15)
+
     def test_init_length_must_match_wiring(self, small_split):
         with pytest.raises(DataError, match="initial"):
             fit_neuron_from_init(
@@ -307,8 +305,8 @@ def reference_fit(split, wiring, prior_a, prior_b, init, config):
     error went up), "cap" (ran all steps, more than one) or "single"
     (max_fit_steps == 1).
     """
-    U_A = design_matrix(split.set_a, wiring, prior_a)
-    U_B = design_matrix(split.set_b, wiring, prior_b)
+    U_A = design_matrix(split.set_a.features, wiring, prior_a)
+    U_B = design_matrix(split.set_b.features, wiring, prior_b)
     w_cur = np.asarray(init, dtype=float)
     w_prev, prev_eb, trace = w_cur, math.inf, []
     for k in range(1, config.max_fit_steps + 1):
