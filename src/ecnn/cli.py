@@ -23,6 +23,7 @@ from . import __version__
 from .cascade import classify_batch, forward_batch
 from .data_io import (
     ZeroVarianceWarning,
+    format_scores,
     load_csv,
     load_matrix_csv,
     normalize,
@@ -315,11 +316,7 @@ def cmd_predict(args) -> int:
         config.classification_threshold if args.threshold is None else args.threshold
     )
     _, outputs = forward_batch(model, features)
-    labels = (outputs >= threshold).astype(int).tolist()
-    text = "index,output,label\n" + "".join(
-        f"{i},{value!r},{label}\n"
-        for i, (value, label) in enumerate(zip(outputs.tolist(), labels))
-    )
+    text = format_scores(outputs, (outputs >= threshold).astype(int))
     if args.out is not None:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

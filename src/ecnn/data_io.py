@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .domain import Dataset, FeatureStats, SplitAB
 from .errors import DataError
@@ -22,6 +23,7 @@ __all__ = [
     "load_csv",
     "load_matrix_csv",
     "write_csv",
+    "format_scores",
     "normalize",
     "split_odd_even",
     "split_train_test",
@@ -183,6 +185,33 @@ def load_csv(path, label_column) -> Dataset:
 # Rows formatted per write, so the file text never sits in memory whole.
 _WRITE_BLOCK_ROWS = 1000
 
+# orjson prints the same shortest round-trip digits as ``repr``, but in its
+# own notation outside [1e-4, 1e16) (``0.00001``, ``1e16``) and as ``null``
+# for non-finite values.  Nonzero cells outside [1e-3, 1e15), a margin on
+# both sides that also takes in NaN and the infinities, are printed by
+# ``repr`` instead.
+_SHORTEST_NOTATION_LOW = 1e-3
+_SHORTEST_NOTATION_HIGH = 1e15
+
+
+def _float_rows(block: np.ndarray) -> list[bytes]:
+    """Each row of a 2-D float block as comma-joined ``repr`` texts.
+
+    The digits of the whole block are printed in C by orjson; each cell
+    whose notation can differ from ``repr`` is printed again by ``repr``.
+    """
+    text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY)
+    rows = text[2:-2].split(b"],[")
+    magnitude = np.abs(block)
+    in_band = (magnitude >= _SHORTEST_NOTATION_LOW) & (magnitude < _SHORTEST_NOTATION_HIGH)
+    unlike_repr = ~in_band & (block != 0.0)  # NaN is in no band
+    for i in np.flatnonzero(unlike_repr.any(axis=1)).tolist():
+        cells = rows[i].split(b",")
+        for j in np.flatnonzero(unlike_repr[i]).tolist():
+            cells[j] = repr(float(block[i, j])).encode("ascii")
+        rows[i] = b",".join(cells)
+    return rows
+
 
 def write_csv(path, dataset: Dataset, label_name: str = "y") -> None:
     """Write a Dataset as a headed CSV, label column last.
@@ -191,17 +220,25 @@ def write_csv(path, dataset: Dataset, label_name: str = "y") -> None:
     so reading the file back reproduces the dataset bit for bit.
     """
     names = dataset.feature_names or tuple(f"x{j}" for j in range(dataset.m))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(names + (label_name,)) + "\n")
+    line = b"%b,%d\n" if dataset.m else b"%b%d\n"
+    with open(path, "wb") as handle:
+        handle.write((",".join(names + (label_name,)) + "\n").encode("utf-8"))
         for a in range(0, dataset.n, _WRITE_BLOCK_ROWS):
             b = a + _WRITE_BLOCK_ROWS
-            lines = []
-            for row, label in zip(
-                dataset.features[a:b].tolist(), dataset.targets[a:b].tolist()
-            ):
-                row.append(int(label))
-                lines.append(",".join(map(repr, row)))
-            handle.write("\n".join(lines) + "\n")
+            rows = _float_rows(dataset.features[a:b])
+            handle.write(b"".join(
+                line % cells for cells in zip(rows, dataset.targets[a:b].tolist())
+            ))
+
+
+def format_scores(outputs: np.ndarray, labels: np.ndarray) -> str:
+    """The ``predict`` table: row index, output in shortest round-trip
+    form, and its 0/1 label, under an ``index,output,label`` header."""
+    rows = _float_rows(np.asarray(outputs, dtype=float).reshape(-1, 1))
+    return "index,output,label\n" + b"".join(
+        b"%d,%b,%d\n" % cells
+        for cells in zip(range(len(rows)), rows, np.asarray(labels).tolist())
+    ).decode("ascii")
 
 
 def normalize(train: Dataset) -> tuple[Dataset, FeatureStats]:

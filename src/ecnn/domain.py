@@ -333,9 +333,12 @@ class FeatureStats:
                 f"feature count mismatch: statistics cover {self.m} columns, "
                 f"data has {X.shape[-1]}"
             )
+        # One output buffer; constant columns are never computed, so they
+        # stay exactly 0 and raise no floating-point warnings.
         out = np.zeros_like(X)
         scaled = self.std > 0.0
-        out[..., scaled] = (X[..., scaled] - self.mean[scaled]) / self.std[scaled]
+        np.subtract(X, self.mean, out=out, where=scaled)
+        np.divide(out, self.std, out=out, where=scaled)
         return out
 
 

@@ -338,9 +338,11 @@ def select_best(summaries: list[RunSummary]) -> RunSummary:
     completed = [s for s in summaries if s.error is None]
     if not completed:
         raise EcnnError("every run failed; no model to select")
-    return min(
-        completed, key=lambda s: (s.train_error_pct, s.model_size, s.run_index)
-    )
+    return min(completed, key=_selection_key)
+
+
+def _selection_key(summary: RunSummary) -> tuple[float, int, int]:
+    return summary.train_error_pct, summary.model_size, summary.run_index
 
 
 def multi_run(
@@ -366,7 +368,9 @@ def multi_run(
         )
     split = split_odd_even(train)
     summaries: list[RunSummary] = []
-    models: dict[int, CascadeModel] = {}
+    # The running winner under select_best's key: the same comparisons in
+    # the same order as min() over every summary, one model held at a time.
+    best: tuple[tuple[float, int, int], CascadeModel] | None = None
     for run_index in range(runs):
         seed = child_seed(config.seed, run_index)
         rng = np.random.default_rng(seed)
@@ -377,17 +381,17 @@ def multi_run(
             test_err = (
                 error_rate(model, test, threshold) if test is not None else math.nan
             )
-            summaries.append(
-                RunSummary(
-                    run_index=run_index,
-                    seed=seed,
-                    model_size=model.size,
-                    train_error_pct=train_err,
-                    test_error_pct=test_err,
-                    selected_features=used_features(model),
-                )
+            summary = RunSummary(
+                run_index=run_index,
+                seed=seed,
+                model_size=model.size,
+                train_error_pct=train_err,
+                test_error_pct=test_err,
+                selected_features=used_features(model),
             )
-            models[run_index] = model
+            summaries.append(summary)
+            if best is None or _selection_key(summary) < best[0]:
+                best = (_selection_key(summary), model)
         except EcnnError as exc:
             summaries.append(
                 RunSummary(
@@ -400,5 +404,6 @@ def multi_run(
                     error=str(exc),
                 )
             )
-    best = select_best(summaries)
-    return models[best.run_index], summaries
+    if best is None:
+        raise EcnnError("every run failed; no model to select")
+    return best[1], summaries

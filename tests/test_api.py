@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -15,6 +17,7 @@ import ecnn
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+SOURCES = sorted((ROOT / "src" / "ecnn").glob("*.py"))
 
 PUBLIC_API = [
     "__version__",
@@ -105,6 +108,34 @@ class TestModuleNames:
         assert isinstance(E, types.ModuleType)
         assert E is importlib.import_module("ecnn.evolve")
         assert callable(E.evolve)
+
+
+def declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+        for spec in project["dependencies"]
+    }
+
+
+def top_level_imports(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+class TestDependencies:
+    def test_every_third_party_import_is_declared(self):
+        imported = set().union(*(top_level_imports(path) for path in SOURCES))
+        third_party = imported - set(sys.stdlib_module_names) - {"ecnn"}
+        assert third_party  # the scan found the numeric stack
+        assert sorted(third_party - declared_dependencies()) == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

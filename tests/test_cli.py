@@ -12,6 +12,8 @@ from ecnn import (
     EcnnError,
     FeatureStats,
     TrainConfig,
+    forward_batch,
+    load_model,
     save_model,
     synth_dataset,
     write_csv,
@@ -240,6 +242,27 @@ class TestPredict:
         assert code == 0
         assert out.read_text().startswith("index,output,label\n")
         assert "predictions:" in stdout
+
+    def test_scores_print_like_repr_down_to_saturated_outputs(
+        self, tmp_path, saved_model, capsys
+    ):
+        x1 = [-300.0, -10.0, -1.0, -0.69, -0.3, 0.0, 0.3, 3.0, 300.0]
+        data = self.data_csv(tmp_path, [f"0.0,{v!r}" for v in x1])
+        out = tmp_path / "scores.csv"
+        code, _, _ = invoke(
+            capsys, "predict", "--model", str(saved_model), "--data", str(data),
+            "--out", str(out),
+        )
+        assert code == 0
+        model, config = load_model(saved_model)
+        _, outputs = forward_batch(model, np.column_stack([np.zeros(9), x1]))
+        threshold = config.classification_threshold
+        want = "index,output,label\n" + "".join(
+            f"{i},{value!r},{int(value >= threshold)}\n"
+            for i, value in enumerate(outputs.tolist())
+        )
+        assert out.read_text(encoding="utf-8") == want
+        assert min(outputs) < 1e-3 and "e-" in want  # the repr route ran
 
     def test_width_mismatch_against_stored_statistics_is_a_data_error(
         self, tmp_path, capsys

@@ -4,7 +4,8 @@
 a per-cell parse only when that cannot vouch for the file.  The reference
 below is the per-cell parser on its own; on every generated text both must
 return the same float bits and names, or raise a ``DataError`` with the
-same message.
+same message.  The writer is held to the bytes of a whole-text writer that
+prints one ``repr`` per cell.
 """
 
 from __future__ import annotations
@@ -271,6 +272,43 @@ class TestNoStrayWarnings:
                 load_csv(path, label_column="y")
 
 
+# Doubles from arbitrary 64-bit patterns (mostly far outside [1e-3, 1e15),
+# where each cell is printed by repr), patterns whose exponent lies in that
+# band (printed by orjson), and hypothesis' own floats (boundaries, integers,
+# short decimals).
+BIT_PATTERNS = st.integers(0, 2**64 - 1)
+IN_BAND_PATTERNS = st.builds(
+    lambda sign, exponent, mantissa: (sign << 63) | (exponent << 52) | mantissa,
+    st.integers(0, 1), st.integers(1013, 1072), st.integers(0, 2**52 - 1),
+)
+FLOAT_PATTERNS = st.floats().map(
+    lambda x: int(np.array(x, dtype=np.float64).view(np.uint64))
+)
+DOUBLE_PATTERNS = st.one_of(BIT_PATTERNS, IN_BAND_PATTERNS, FLOAT_PATTERNS)
+
+# The cells where orjson's notation changes, their neighbours, and the
+# extremes; every one of them, and its negation, must print like repr.
+BOUNDARY_CELLS = [0.0, 5e-324, 1e308, np.nan, np.inf] + [
+    np.nextafter(edge, toward)
+    for edge in (1e-4, 1e-3, 1e15, 1e16)
+    for toward in (0.0, edge, np.inf)
+]
+
+
+@st.composite
+def written_datasets(draw, min_rows=0):
+    rows = draw(st.integers(min_rows, 6))
+    cols = draw(st.integers(0, 5))
+    bits = draw(st.lists(DOUBLE_PATTERNS, min_size=rows * cols, max_size=rows * cols))
+    targets = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows))
+    names = draw(st.lists(
+        st.from_regex(r"[a-x][a-z0-9_]{0,4}", fullmatch=True),
+        min_size=cols, max_size=cols, unique=True,
+    ))
+    features = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+    return Dataset(features, np.array(targets), tuple(names))
+
+
 class TestStreamedWrite:
     @pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001, 2501])
     def test_bytes_match_the_whole_text_writer(self, tmp_path, rng, n):
@@ -281,6 +319,54 @@ class TestStreamedWrite:
         path = tmp_path / "out.csv"
         write_csv(path, data, label_name="label")
         assert path.read_bytes() == reference_csv_text(data, "label").encode("utf-8")
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001])
+    def test_blocks_of_any_width_match_the_whole_text_writer(self, tmp_path, rng, n, m):
+        # Magnitudes on both sides of [1e-3, 1e15), stored column-major so
+        # each block is a strided view of the matrix.
+        features = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-6, 18, (n, m))
+        data = Dataset(np.asfortranarray(features), (rng.random(n) < 0.5).astype(float))
+        path = tmp_path / "out.csv"
+        write_csv(path, data)
+        assert path.read_bytes() == reference_csv_text(data).encode("utf-8")
+
+    def test_boundary_cells_print_like_repr(self, tmp_path):
+        cells = np.array(BOUNDARY_CELLS + [-x for x in BOUNDARY_CELLS])
+        blocks = [cells[None, :], cells[:, None]]  # one row; one column
+        for features in blocks:
+            data = Dataset(features, np.ones(features.shape[0]))
+            path = tmp_path / "out.csv"
+            write_csv(path, data)
+            assert path.read_bytes() == reference_csv_text(data).encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=written_datasets())
+    def test_arbitrary_doubles_match_the_whole_text_writer(self, data):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "out.csv"
+            write_csv(path, data)
+            assert path.read_bytes() == reference_csv_text(data).encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=written_datasets(min_rows=1))  # no rows is a DataError
+    def test_write_then_load_gives_the_same_dataset(self, data):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "out.csv"
+            write_csv(path, data, label_name="y")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = load_csv(path, "y")
+        nan = np.isnan(data.features)
+        # repr writes every NaN as "nan", so a NaN's sign and payload are
+        # not kept; every other cell must come back bit for bit.
+        assert np.array_equal(np.isnan(loaded.features), nan)
+        assert bits(np.where(nan, 0.0, loaded.features)) == bits(
+            np.where(nan, 0.0, data.features)
+        )
+        assert loaded.features.shape == data.features.shape
+        assert bits(loaded.targets) == bits(data.targets)
+        assert loaded.feature_names == data.feature_names
 
     def test_featureless_dataset_writes_labels_only(self, tmp_path):
         data = Dataset(np.empty((2, 0)), np.array([1.0, -0.0]))

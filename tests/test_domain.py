@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +348,31 @@ class TestFeatureStats:
         out = stats.transform([[3.0, 123.0]])
         np.testing.assert_array_equal(out, [[1.0, 0.0]])
         assert stats.constant_columns == (1,)
+
+    def test_scaled_columns_are_exact_and_constant_columns_exactly_zero(self):
+        # Subtracting the mean of a constant column would overflow here.
+        X = np.array([[1e308, 3.0, np.inf], [-1e308, -2.0, np.nan]])
+        stats = FeatureStats(mean=[-1e308, 0.5, 1e308], std=[0.0, 3.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = stats.transform(X)
+            row = stats.transform(X[0])
+        assert out[:, [0, 2]].view(np.uint64).tolist() == [[0, 0], [0, 0]]
+        assert out[:, 1].tolist() == ((X[:, 1] - 0.5) / 3.0).tolist()
+        assert row.tolist() == out[0].tolist()
+
+    def test_transform_holds_one_copy_of_the_matrix(self):
+        X = np.random.default_rng(3).standard_normal((2000, 30))
+        std = np.ones(30)
+        std[::7] = 0.0
+        stats = FeatureStats(mean=X.mean(axis=0), std=std)
+        tracemalloc.start()
+        try:
+            out = stats.transform(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
 
     def test_width_mismatch_raises(self):
         stats = FeatureStats(mean=[0.0], std=[1.0])

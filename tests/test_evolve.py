@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from ecnn import (
     synth_dataset,
     used_features,
 )
+import ecnn.evolve
 from ecnn.evolve import evolve
 
 
@@ -341,6 +344,38 @@ class TestMultiRun:
         chosen = select_best(summaries)
         assert best.size == chosen.model_size
         assert used_features(best) == chosen.selected_features
+
+    def test_holds_only_the_running_best_model(self, small_dataset, monkeypatch):
+        grown = []
+        alive_at_each_restart = []
+
+        def tracked_evolve(*args):
+            gc.collect()
+            alive_at_each_restart.append(sum(ref() is not None for ref in grown))
+            model, trace = evolve(*args)
+            grown.append(weakref.ref(model))
+            return model, trace
+
+        monkeypatch.setattr(ecnn.evolve, "evolve", tracked_evolve)
+        config = TrainConfig(seed=33)
+        best, summaries = multi_run(small_dataset, None, config, runs=6)
+        # The best so far, plus the previous restart's model while its
+        # name is still bound.
+        assert max(alive_at_each_restart) <= 2
+        chosen = select_best(summaries)
+        direct, _ = evolve(
+            split_odd_even(small_dataset), config, rng_for_run(33, chosen.run_index)
+        )
+        X = small_dataset.features
+        assert forward_batch(best, X)[1].tolist() == forward_batch(direct, X)[1].tolist()
+
+    def test_every_run_failing_raises(self, small_dataset, monkeypatch):
+        def failing_evolve(*args):
+            raise EcnnError("boom")
+
+        monkeypatch.setattr(ecnn.evolve, "evolve", failing_evolve)
+        with pytest.raises(EcnnError, match="^every run failed; no model to select$"):
+            multi_run(small_dataset, None, TrainConfig(seed=33), runs=3)
 
     def test_no_test_set_records_nan(self, small_dataset):
         _, summaries = multi_run(small_dataset, None, TrainConfig(seed=1), runs=2)
