@@ -43,7 +43,6 @@ from .domain import (
     TrainConfig,
     require_finite_features,
     require_valid_dataset,
-    validate_dataset,
 )
 from .errors import DataError, EcnnError, ModelFormatError, SingularInputError
 from .evolve import (
@@ -53,8 +52,6 @@ from .evolve import (
     RunSummary,
     STOP_FEATURES_EXHAUSTED,
     STOP_MAX_LAYERS,
-    anchor_model,
-    build_candidate,
     child_seed,
     multi_run,
     rng_for_run,
@@ -67,9 +64,7 @@ from .fitting import (
     fit_neuron,
     fit_neuron_from_init,
     init_weights,
-    projection_update,
     sigmoid,
-    validation_error,
 )
 from .model_io import (
     FORMAT_VERSION,
@@ -95,7 +90,6 @@ __all__ = [
     "CascadeModel",
     "TrainConfig",
     "FitnessRecord",
-    "validate_dataset",
     "require_valid_dataset",
     "require_finite_features",
     # errors
@@ -108,8 +102,6 @@ __all__ = [
     "FitResult",
     "sigmoid",
     "design_matrix",
-    "validation_error",
-    "projection_update",
     "init_weights",
     "fit_neuron",
     "fit_neuron_from_init",
@@ -125,8 +117,6 @@ __all__ = [
     "RejectedRecord",
     "EvolveTrace",
     "RunSummary",
-    "build_candidate",
-    "anchor_model",
     "child_seed",
     "rng_for_run",
     "select_best",

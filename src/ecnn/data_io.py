@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .domain import Dataset, FeatureStats, SplitAB
+from .domain import Dataset, FeatureStats, SplitAB, require_finite_features
 from .errors import DataError
 
 __all__ = [
@@ -268,16 +268,17 @@ def normalize(train: Dataset) -> tuple[Dataset, FeatureStats]:
 
 def split_odd_even(train: Dataset) -> SplitAB:
     """Fitting/validation split by position: 1st, 3rd, 5th ... example to
-    the fitting side, 2nd, 4th, 6th ... to the validation side."""
+    the fitting side, 2nd, 4th, 6th ... to the validation side.
+
+    Growth needs finite features, so they are checked here, with rows
+    numbered as in ``train``.
+    """
     if train.n < 2:
         raise DataError("splitting needs at least two examples")
-    indices_a = np.arange(0, train.n, 2)
-    indices_b = np.arange(1, train.n, 2)
+    require_finite_features(train.features)
     return SplitAB(
-        set_a=train.take(indices_a),
-        set_b=train.take(indices_b),
-        indices_a=indices_a,
-        indices_b=indices_b,
+        set_a=train.take(np.arange(0, train.n, 2)),
+        set_b=train.take(np.arange(1, train.n, 2)),
     )
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "CascadeModel",
     "TrainConfig",
     "FitnessRecord",
-    "validate_dataset",
     "require_valid_dataset",
     "require_finite_features",
 ]
@@ -51,8 +50,8 @@ class Dataset:
 
     The constructor only coerces shapes and dtypes.  Semantic checks
     (binary targets, matching lengths, finite values, enough columns) are
-    the job of :func:`validate_dataset`, so that broken inputs can be
-    inspected and reported item by item instead of dying at construction.
+    the job of :func:`require_valid_dataset`, so that a broken input is
+    reported item by item instead of dying at construction.
     """
 
     features: np.ndarray  # (n, m)
@@ -131,20 +130,13 @@ def _raise_bounded(what: str, messages: Iterator[str], total: int) -> None:
     raise DataError(f"{what}: " + "; ".join(listed))
 
 
-def validate_dataset(d: Dataset) -> list[str]:
-    """Check every Dataset invariant and return an itemized violation list.
-
-    An empty list means the dataset is valid.  Rows are numbered from 1,
-    as data rows below a CSV header are; columns from 0.
-    """
-    return list(_violations(d)[0])
-
-
 def require_valid_dataset(d: Dataset) -> None:
-    """Raise :class:`DataError` listing the violations, if there are any.
+    """Raise :class:`DataError` listing every Dataset invariant ``d``
+    violates, if there are any.
 
-    The message lists at most the first ``MAX_LISTED_VIOLATIONS`` and then
-    the total, so it stays small on huge bad inputs.
+    Rows are numbered from 1, as data rows below a CSV header are; columns
+    from 0.  The message lists at most the first ``MAX_LISTED_VIOLATIONS``
+    and then the total, so it stays small on huge bad inputs.
     """
     _raise_bounded("invalid dataset", *_violations(d))
 
@@ -161,44 +153,20 @@ class SplitAB:
     """Fitting/validation partition of a training set.
 
     ``set_a`` is fitted on, ``set_b`` is only ever measured on.
-    ``indices_a``/``indices_b`` record which source rows each subset came
-    from and must not intersect.
     """
 
     set_a: Dataset
     set_b: Dataset
-    indices_a: np.ndarray
-    indices_b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "indices_a",
-            _frozen_array(self.indices_a, dtype=np.int64, ndim=1, name="indices_a"),
-        )
-        object.__setattr__(
-            self,
-            "indices_b",
-            _frozen_array(self.indices_b, dtype=np.int64, ndim=1, name="indices_b"),
-        )
         if self.set_a.m != self.set_b.m:
             raise ValueError(
                 f"subsets disagree on feature count: {self.set_a.m} vs {self.set_b.m}"
             )
         if self.set_a.n < 1 or self.set_b.n < 1:
             raise ValueError("both subsets need at least one example")
-        if len(self.indices_a) != self.set_a.n or len(self.indices_b) != self.set_b.n:
-            raise ValueError("source-row index arrays must match subset sizes")
-        if np.intersect1d(self.indices_a, self.indices_b).size:
-            raise ValueError("fitting and validation subsets share source rows")
-
-    @property
-    def n_a(self) -> int:
-        return self.set_a.n
-
-    @property
-    def n_b(self) -> int:
-        return self.set_b.n
+        if self.m < 1:
+            raise DataError("training data has no feature columns")
 
     @property
     def m(self) -> int:

@@ -45,9 +45,7 @@ __all__ = [
     "RejectedRecord",
     "EvolveTrace",
     "RunSummary",
-    "build_candidate",
     "evolve",
-    "anchor_model",
     "child_seed",
     "rng_for_run",
     "select_best",
@@ -67,14 +65,6 @@ class AcceptedRecord:
     feature: int
     criterion: float
 
-    def __post_init__(self):
-        if self.layer < 1:
-            raise ValueError("layer must be >= 1")
-        if self.feature < 0:
-            raise ValueError("feature must be a column index")
-        if not (math.isfinite(self.criterion) and self.criterion >= 0):
-            raise ValueError("criterion must be finite and >= 0")
-
 
 @dataclass(frozen=True)
 class RejectedRecord:
@@ -87,50 +77,24 @@ class RejectedRecord:
     criterion: float
     best_before: float
 
-    def __post_init__(self):
-        if self.position < 1:
-            raise ValueError("position is 1-based")
-        if self.feature < 0:
-            raise ValueError("feature must be a column index")
-        if not (math.isfinite(self.criterion) and self.criterion >= 0):
-            raise ValueError("criterion must be finite and >= 0")
-        if not math.isfinite(self.best_before):
-            raise ValueError("best_before must be finite")
-        if self.criterion < self.best_before:
-            raise ValueError("a rejected candidate cannot beat the best criterion")
-
 
 @dataclass(frozen=True)
 class EvolveTrace:
-    """Full evidence trail of one growth run."""
+    """Full evidence trail of one growth run, as :func:`evolve` records it.
+
+    The model it comes with enforces the soundness of the accepted chain:
+    its layers run 1..R and its criterion history falls strictly.
+    """
 
     ranked_features: tuple[FitnessRecord, ...]
     accepted: tuple[AcceptedRecord, ...]
     rejected: tuple[RejectedRecord, ...]
     stop_reason: str
-    degenerate: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranked_features", tuple(self.ranked_features))
-        object.__setattr__(self, "accepted", tuple(self.accepted))
-        object.__setattr__(self, "rejected", tuple(self.rejected))
-        if not self.ranked_features:
-            raise ValueError("a trace requires at least one ranked feature")
-        if self.stop_reason not in (STOP_FEATURES_EXHAUSTED, STOP_MAX_LAYERS):
-            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
-        layers = [rec.layer for rec in self.accepted]
-        if layers != list(range(1, len(layers) + 1)):
-            raise ValueError("accepted layers must be exactly 1..R in order")
-        chain = [rec.criterion for rec in self.accepted]
-        if math.isfinite(self.ranked_features[0].score):
-            chain = [self.ranked_features[0].score] + chain
-        if any(not b < a for a, b in zip(chain, chain[1:])):
-            raise ValueError("accepted criteria must decrease strictly")
-        positions = [rec.position for rec in self.rejected]
-        if any(b < a for a, b in zip(positions, positions[1:])):
-            raise ValueError("rejected positions must be non-decreasing")
-        if self.degenerate and self.accepted:
-            raise ValueError("a degenerate run accepts no candidates")
+    @property
+    def degenerate(self) -> bool:
+        """True when nothing was accepted and the model is the anchor alone."""
+        return not self.accepted
 
 
 @dataclass(frozen=True)
@@ -202,36 +166,11 @@ def _rank(
     return ranked, anchor_fit
 
 
-def build_candidate(
-    r: int, anchor: int, candidate_feature: int, prior_layer_count: int
-) -> tuple:
+def _wiring(r: int, anchor: int, candidate: int) -> tuple:
     """Wiring of the layer-r candidate: every earlier neuron's output from
     newest to oldest, then the anchor feature, then the candidate feature."""
-    if r < 1:
-        raise ValueError("layer index must be >= 1")
-    if prior_layer_count != r - 1:
-        raise ValueError(
-            f"a layer-{r} candidate needs {r - 1} prior layers, "
-            f"got {prior_layer_count}"
-        )
-    if anchor == candidate_feature:
-        raise ValueError(
-            f"candidate feature must differ from the anchor (both are {anchor})"
-        )
     previous = tuple(PrevNeuron(layer) for layer in range(r - 1, 0, -1))
-    return previous + (Feature(anchor), Feature(candidate_feature))
-
-
-def _degenerate_model(
-    split: SplitAB, anchor: int, anchor_fit: FitResult
-) -> CascadeModel:
-    neuron = NeuronSpec(layer=1, wiring=(Feature(anchor),), weights=anchor_fit.weights)
-    return CascadeModel(
-        neurons=(neuron,),
-        anchor_feature=anchor,
-        criterion_history=(anchor_fit.criterion,),
-        feature_names=split.set_a.feature_names,
-    )
+    return previous + (Feature(anchor), Feature(candidate))
 
 
 def evolve(
@@ -267,7 +206,7 @@ def evolve(
             break
         candidate = ranked[h - 1].feature
         r = len(neurons) + 1
-        wiring = build_candidate(r, anchor, candidate, len(neurons))
+        wiring = _wiring(r, anchor, candidate)
         fit = fit_neuron(split, wiring, prior_a, prior_b, config, rng)
         if fit.criterion < history[-1]:
             neuron = NeuronSpec(layer=r, wiring=wiring, weights=fit.weights)
@@ -286,39 +225,19 @@ def evolve(
             )
             h += 1
 
-    if neurons:
-        model = CascadeModel(
-            neurons=tuple(neurons),
-            anchor_feature=anchor,
-            criterion_history=tuple(history),
-            feature_names=split.set_a.feature_names,
+    if not neurons:
+        # Nothing beat the anchor: the model is its single-input neuron.
+        neurons.append(
+            NeuronSpec(layer=1, wiring=(Feature(anchor),), weights=anchor_fit.weights)
         )
-        degenerate = False
-    else:
-        model = _degenerate_model(split, anchor, anchor_fit)
-        degenerate = True
-    trace = EvolveTrace(
-        ranked_features=ranked,
-        accepted=tuple(accepted),
-        rejected=tuple(rejected),
-        stop_reason=stop_reason,
-        degenerate=degenerate,
+    model = CascadeModel(
+        neurons=tuple(neurons),
+        anchor_feature=anchor,
+        criterion_history=tuple(history),
+        feature_names=split.set_a.feature_names,
     )
+    trace = EvolveTrace(ranked, tuple(accepted), tuple(rejected), stop_reason)
     return model, trace
-
-
-def anchor_model(
-    split: SplitAB, config: TrainConfig, rng: np.random.Generator
-) -> CascadeModel:
-    """The best single-feature classifier alone, exactly as growth would
-    rank it.
-
-    Consumes the random stream the same way :func:`evolve` does, so with a
-    fresh generator from the same seed it reproduces the anchor neuron of
-    that run; this is the baseline a grown cascade has to beat.
-    """
-    ranked, anchor_fit = _rank(split, config, rng)
-    return _degenerate_model(split, ranked[0].feature, anchor_fit)
 
 
 def child_seed(master_seed: int, run_index: int) -> int:

@@ -23,8 +23,6 @@ __all__ = [
     "FitResult",
     "sigmoid",
     "design_matrix",
-    "validation_error",
-    "projection_update",
     "init_weights",
     "fit_neuron_from_init",
     "fit_neuron",
@@ -101,34 +99,6 @@ def _norm(r: np.ndarray) -> float:
     """Euclidean norm of a 1-D float vector, exactly as np.linalg.norm
     computes it (the square root of the dot product)."""
     return math.sqrt(r @ r)
-
-
-def validation_error(residuals_b) -> float:
-    """Euclidean norm of a residual vector."""
-    r = np.asarray(residuals_b, dtype=float)
-    if r.ndim != 1 or len(r) == 0:
-        raise ValueError("residuals must form a non-empty vector")
-    return _norm(r.ravel(order="K"))
-
-
-def projection_update(weights, inputs_a, residuals_a, chi: float) -> np.ndarray:
-    """One full-batch projection step w - chi * (U eta) / ||U||^2.
-
-    ``inputs_a`` is the (p + 1, n_A) design matrix including the bias row;
-    the norm is the Frobenius norm over all of its entries, bias row
-    included.
-    """
-    w = np.asarray(weights, dtype=float)
-    U = np.asarray(inputs_a, dtype=float)
-    eta = np.asarray(residuals_a, dtype=float)
-    if U.ndim != 2:
-        raise DataError(f"design matrix must be 2-dimensional, got shape {U.shape}")
-    if w.shape != (U.shape[0],) or eta.shape != (U.shape[1],):
-        raise DataError(
-            f"shape mismatch: weights {w.shape}, design {U.shape}, "
-            f"residuals {eta.shape}"
-        )
-    return _project(w, U, eta, _projection_scale(U, chi))
 
 
 def _projection_scale(inputs_a: np.ndarray, chi: float) -> float:

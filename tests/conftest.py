@@ -13,6 +13,8 @@ from ecnn import (
     NeuronSpec,
     PrevNeuron,
     TrainConfig,
+    fit_neuron_from_init,
+    init_weights,
     split_odd_even,
 )
 
@@ -67,6 +69,16 @@ def build_cascade(
         normalization_stats=stats,
         feature_names=feature_names,
     )
+
+
+def anchor_baseline(split, anchor, config, rng):
+    """The anchor's single-input neuron alone: one fit on column ``anchor``
+    from the generator's first draw, as the ranking pass of a growth run
+    started from the same generator fits it."""
+    init = init_weights(2, config.init_sigma, rng)
+    fit = fit_neuron_from_init(split, (Feature(anchor),), None, None, init, config)
+    neuron = NeuronSpec(layer=1, wiring=(Feature(anchor),), weights=fit.weights)
+    return CascadeModel((neuron,), anchor, (fit.criterion,))
 
 
 def random_cascade(gen: np.random.Generator):

@@ -32,7 +32,6 @@ PUBLIC_API = [
     "CascadeModel",
     "TrainConfig",
     "FitnessRecord",
-    "validate_dataset",
     "require_valid_dataset",
     "require_finite_features",
     # errors
@@ -45,8 +44,6 @@ PUBLIC_API = [
     "FitResult",
     "sigmoid",
     "design_matrix",
-    "validation_error",
-    "projection_update",
     "init_weights",
     "fit_neuron",
     "fit_neuron_from_init",
@@ -62,8 +59,6 @@ PUBLIC_API = [
     "RejectedRecord",
     "EvolveTrace",
     "RunSummary",
-    "build_candidate",
-    "anchor_model",
     "child_seed",
     "rng_for_run",
     "select_best",
@@ -97,8 +92,65 @@ class TestExports:
 
     def test_test_only_helpers_are_not_exported(self):
         removed = ["neuron_output", "error_vector", "forward", "classify",
-                   "accuracy", "rank_features"]
+                   "accuracy", "rank_features", "anchor_model", "build_candidate",
+                   "validate_dataset", "validation_error", "projection_update"]
         assert [name for name in removed if hasattr(ecnn, name)] == []
+
+    def test_every_export_has_a_caller_outside_the_tests(self):
+        used = set().union(
+            *(referenced_names(path) for path in SOURCES if path.name != "__init__.py"),
+            *(referenced_names(path) for path in DEMOS),
+        )
+        assert [name for name in ecnn.__all__ if name not in used] == []
+
+    def test_scan_counts_names_attributes_and_imports(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text(
+            "from pkg.sub import imported\n"
+            "import pkg.deep.module_name\n"
+            "def caller():\n"
+            "    return loaded(pkg.attribute)\n",
+            encoding="utf-8",
+        )
+        names = referenced_names(module)
+        assert {"imported", "module_name", "loaded", "attribute"} <= names
+
+    def test_scan_skips_strings_and_own_definitions(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text(
+            '"""Mentions in_docstring."""\n'
+            '__all__ = ["in_all"]\n'
+            "def recursive():\n"
+            "    return recursive()\n"
+            "class Own:\n"
+            "    def method(self):\n"
+            "        return Own\n",
+            encoding="utf-8",
+        )
+        names = referenced_names(module)
+        assert names.isdisjoint({"in_docstring", "in_all", "recursive", "Own"})
+
+
+def referenced_names(path):
+    """Names a module reads: loaded names, attributes and imported names.
+
+    A top-level function or class does not count as a reference to itself,
+    and strings (docstrings, ``__all__``) are not references.
+    """
+    names = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        found = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.discard(top.name)
+        names |= found
+    return names
 
 
 class TestModuleNames:

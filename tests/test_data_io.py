@@ -207,10 +207,11 @@ class TestSplitOddEven:
         data = Dataset(np.arange(n * 2, dtype=float).reshape(n, 2),
                        np.arange(n, dtype=float) % 2)
         split = split_odd_even(data)
-        np.testing.assert_array_equal(split.indices_a, [0, 2, 4, 6, 8])
-        np.testing.assert_array_equal(split.indices_b, [1, 3, 5, 7])
-        np.testing.assert_array_equal(split.set_a.features,
-                                      data.features[::2])
+        np.testing.assert_array_equal(split.set_a.features[:, 0], [0, 4, 8, 12, 16])
+        np.testing.assert_array_equal(split.set_b.features[:, 0], [2, 6, 10, 14])
+        np.testing.assert_array_equal(split.set_a.features, data.features[::2])
+        np.testing.assert_array_equal(split.set_b.features, data.features[1::2])
+        np.testing.assert_array_equal(split.set_a.targets, data.targets[::2])
         np.testing.assert_array_equal(split.set_b.targets, data.targets[1::2])
 
 

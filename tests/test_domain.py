@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecnn import (
     CascadeModel,
@@ -23,7 +25,7 @@ from ecnn import (
     TrainConfig,
     require_finite_features,
     require_valid_dataset,
-    validate_dataset,
+    split_odd_even,
 )
 
 
@@ -60,24 +62,31 @@ class TestDataset:
 class TestValidateDataset:
     def test_valid_dataset_has_no_violations(self):
         d = Dataset([[1, 2, 3], [4, 5, 6], [7, 8, 9], [0, 1, 2]], [0, 1, 1, 0])
-        assert validate_dataset(d) == []
+        assert require_valid_dataset(d) is None
 
     def test_non_binary_target_is_reported_with_row(self):
         d = Dataset([[1, 2], [3, 4]], [0, 2])
-        violations = validate_dataset(d)
-        assert violations == ["non-binary target at row 2"]
+        message = "^invalid dataset: non-binary target at row 2$"
+        with pytest.raises(DataError, match=message):
+            require_valid_dataset(d)
 
     def test_single_feature_is_rejected(self):
         d = Dataset([[1.0], [2.0]], [0, 1])
-        assert "at least two features required" in validate_dataset(d)
+        message = "^invalid dataset: at least two features required$"
+        with pytest.raises(DataError, match=message):
+            require_valid_dataset(d)
 
     def test_length_mismatch_is_reported(self):
         d = Dataset([[1, 2], [3, 4], [5, 6]], [0, 1])
-        assert any("3 rows" in v and "2 targets" in v for v in validate_dataset(d))
+        message = "features have 3 rows but there are 2 targets"
+        with pytest.raises(DataError, match=message):
+            require_valid_dataset(d)
 
     def test_non_finite_feature_is_reported_with_position(self):
         d = Dataset([[1, 2], [3, np.nan]], [0, 1])
-        assert "non-finite feature value at row 2, column 1" in validate_dataset(d)
+        message = "non-finite feature value at row 2, column 1"
+        with pytest.raises(DataError, match=message):
+            require_valid_dataset(d)
 
     def test_require_valid_raises_with_all_violations(self):
         d = Dataset([[np.inf], [2.0]], [0, 3])
@@ -149,30 +158,47 @@ def _pair(n_a=2, n_b=2, m=2):
 class TestSplitAB:
     def test_valid_split(self):
         a, b = _pair()
-        split = SplitAB(a, b, indices_a=[0, 2], indices_b=[1, 3])
-        assert split.n_a == 2 and split.n_b == 2 and split.m == 2
+        split = SplitAB(a, b)
+        assert split.set_a.n == 2 and split.set_b.n == 2 and split.m == 2
 
     def test_feature_count_must_agree(self):
         a, _ = _pair(m=2)
         _, b = _pair(m=3)
         with pytest.raises(ValueError, match="feature count"):
-            SplitAB(a, b, [0, 1], [2, 3])
-
-    def test_indices_must_not_intersect(self):
-        a, b = _pair()
-        with pytest.raises(ValueError, match="share"):
-            SplitAB(a, b, [0, 1], [1, 2])
-
-    def test_source_index_sizes_must_match(self):
-        a, b = _pair()
-        with pytest.raises(ValueError, match="source-row index"):
-            SplitAB(a, b, [0], [1, 2])
+            SplitAB(a, b)
 
     def test_each_side_needs_an_example(self):
         a, _ = _pair()
         empty = Dataset(np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError, match="at least one example"):
-            SplitAB(a, empty, [0, 1], [])
+            SplitAB(a, empty)
+
+    def test_needs_a_feature_column(self):
+        a, b = _pair(m=0)
+        with pytest.raises(DataError, match="no feature columns"):
+            SplitAB(a, b)
+
+    # split_odd_even is the one builder of a split, so the source-row
+    # invariants are checked on what it builds.  Column 0 holds the row.
+    @staticmethod
+    def _rows_split(n, targets):
+        rows = np.arange(n, dtype=float)
+        split = split_odd_even(Dataset(np.column_stack([rows, -rows]), targets))
+        return split, split.set_a.features[:, 0], split.set_b.features[:, 0]
+
+    @given(n=st.integers(2, 60))
+    def test_indices_must_not_intersect(self, n):
+        _, rows_a, rows_b = self._rows_split(n, np.arange(n) % 2)
+        assert np.intersect1d(rows_a, rows_b).size == 0
+        np.testing.assert_array_equal(np.union1d(rows_a, rows_b), np.arange(n))
+
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+    def test_source_index_sizes_must_match(self, n, seed):
+        targets = (np.random.default_rng(seed).random(n) < 0.5).astype(float)
+        split, rows_a, rows_b = self._rows_split(n, targets)
+        assert (split.set_a.n, split.set_b.n) == ((n + 1) // 2, n // 2)
+        np.testing.assert_array_equal(split.set_a.targets, targets[rows_a.astype(int)])
+        np.testing.assert_array_equal(split.set_b.targets, targets[rows_b.astype(int)])
 
 
 class TestNeuronSpec:

@@ -8,6 +8,9 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import anchor_baseline
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecnn import (
     AcceptedRecord,
@@ -17,14 +20,12 @@ from ecnn import (
     EvolveTrace,
     Feature,
     FitnessRecord,
+    NeuronSpec,
     PrevNeuron,
-    RejectedRecord,
     RunSummary,
     STOP_FEATURES_EXHAUSTED,
     STOP_MAX_LAYERS,
     TrainConfig,
-    anchor_model,
-    build_candidate,
     child_seed,
     error_rate,
     forward_batch,
@@ -36,7 +37,7 @@ from ecnn import (
     used_features,
 )
 import ecnn.evolve
-from ecnn.evolve import evolve
+from ecnn.evolve import _wiring, evolve
 
 
 def and_dataset(n=400, seed=55):
@@ -54,26 +55,54 @@ def noise_dataset(n=80, m=4, seed=8):
 
 
 class TestBuildCandidate:
+    """The wiring helper alone; NeuronSpec rejects what it must not build."""
+
     def test_first_layer_is_a_feature_pair(self):
-        wiring = build_candidate(1, anchor=36, candidate_feature=23,
-                                 prior_layer_count=0)
-        assert wiring == (Feature(36), Feature(23))
+        assert _wiring(1, anchor=36, candidate=23) == (Feature(36), Feature(23))
 
     def test_deep_layer_lists_newest_previous_first(self):
-        wiring = build_candidate(4, anchor=36, candidate_feature=60,
-                                 prior_layer_count=3)
+        wiring = _wiring(4, anchor=36, candidate=60)
         assert wiring == (
             PrevNeuron(3), PrevNeuron(2), PrevNeuron(1), Feature(36), Feature(60)
         )
         assert len(wiring) == 5
 
     def test_anchor_equal_to_candidate_is_rejected(self):
-        with pytest.raises(ValueError, match="differ"):
-            build_candidate(2, anchor=0, candidate_feature=0, prior_layer_count=1)
+        with pytest.raises(ValueError, match="distinct"):
+            NeuronSpec(2, _wiring(2, anchor=0, candidate=0), np.zeros(4))
 
     def test_prior_layer_count_must_match_layer(self):
-        with pytest.raises(ValueError, match="prior layers"):
-            build_candidate(3, anchor=0, candidate_feature=1, prior_layer_count=1)
+        with pytest.raises(ValueError, match="needs 4 inputs"):
+            NeuronSpec(3, _wiring(2, anchor=0, candidate=1), np.zeros(4))
+
+
+class TestCandidateWiring:
+    """Layer r reads every earlier output newest first, then the anchor,
+    then the candidate feature it was accepted on."""
+
+    def grown(self):
+        data, _ = synth_dataset(n=400, m=8, relevant=(0, 3), noise_sigma=0.3, seed=11)
+        model, trace = evolve(split_odd_even(data), TrainConfig(seed=0),
+                              rng_for_run(0, 0))
+        assert model.size >= 4
+        return model, trace
+
+    def test_first_layer_is_a_feature_pair(self):
+        model, trace = self.grown()
+        assert model.neurons[0].wiring == (
+            Feature(model.anchor_feature), Feature(trace.accepted[0].feature)
+        )
+
+    def test_deep_layer_lists_newest_previous_first(self):
+        model, trace = self.grown()
+        assert model.neurons[3].wiring == (
+            PrevNeuron(3), PrevNeuron(2), PrevNeuron(1),
+            Feature(model.anchor_feature), Feature(trace.accepted[3].feature),
+        )
+        for neuron, record in zip(model.neurons, trace.accepted):
+            previous = tuple(PrevNeuron(k) for k in range(neuron.layer - 1, 0, -1))
+            tail = (Feature(model.anchor_feature), Feature(record.feature))
+            assert neuron.wiring == previous + tail
 
 
 def ranking_of(split, config, rng):
@@ -118,43 +147,55 @@ class TestRankFeatures:
         assert first == second
 
 
+@st.composite
+def growth_problems(draw):
+    """A small synthetic training split and a growth config."""
+    m = draw(st.integers(2, 8))
+    relevant = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
+                             unique=True))
+    data, _ = synth_dataset(n=draw(st.integers(40, 300)), m=m, relevant=relevant,
+                            noise_sigma=draw(st.floats(0.0, 2.0)),
+                            seed=draw(st.integers(0, 2**32 - 1)))
+    config = TrainConfig(
+        delta=draw(st.floats(1e-5, 0.5)),
+        max_fit_steps=draw(st.integers(1, 60)),
+        max_layers=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        advance_on_accept=draw(st.booleans()),
+    )
+    return split_odd_even(data), config
+
+
 class TestEvolveTraceTypes:
-    def test_rejected_record_cannot_beat_best(self):
-        with pytest.raises(ValueError, match="beat"):
-            RejectedRecord(position=2, feature=1, criterion=0.5, best_before=1.0)
-
-    def test_trace_rejects_non_decreasing_accepted_chain(self):
-        ranked = (FitnessRecord(0, 1.0), FitnessRecord(1, 2.0))
-        accepted = (AcceptedRecord(1, 1, 0.9), AcceptedRecord(2, 1, 0.9))
-        with pytest.raises(ValueError, match="strictly"):
-            EvolveTrace(ranked, accepted, (), STOP_FEATURES_EXHAUSTED)
-
-    def test_trace_rejects_acceptance_not_beating_start(self):
-        ranked = (FitnessRecord(0, 1.0), FitnessRecord(1, 2.0))
-        accepted = (AcceptedRecord(1, 1, 1.5),)
-        with pytest.raises(ValueError, match="strictly"):
-            EvolveTrace(ranked, accepted, (), STOP_FEATURES_EXHAUSTED)
-
-    def test_trace_rejects_decreasing_positions(self):
-        ranked = (FitnessRecord(0, 1.0), FitnessRecord(1, 2.0))
-        rejected = (
-            RejectedRecord(3, 1, 2.0, 1.0),
-            RejectedRecord(2, 1, 2.0, 1.0),
-        )
-        with pytest.raises(ValueError, match="non-decreasing"):
-            EvolveTrace(ranked, (), rejected, STOP_FEATURES_EXHAUSTED)
-
     def test_degenerate_trace_cannot_hold_acceptances(self):
         ranked = (FitnessRecord(0, 1.0), FitnessRecord(1, 2.0))
         accepted = (AcceptedRecord(1, 1, 0.5),)
-        with pytest.raises(ValueError, match="degenerate"):
-            EvolveTrace(ranked, accepted, (), STOP_FEATURES_EXHAUSTED,
-                        degenerate=True)
+        assert not EvolveTrace(ranked, accepted, (), STOP_FEATURES_EXHAUSTED).degenerate
+        assert EvolveTrace(ranked, (), (), STOP_FEATURES_EXHAUSTED).degenerate
 
-    def test_unknown_stop_reason_is_rejected(self):
-        ranked = (FitnessRecord(0, 1.0),)
-        with pytest.raises(ValueError, match="stop reason"):
-            EvolveTrace(ranked, (), (), "gave-up")
+
+class TestGrowthInvariants:
+    @given(problem=growth_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_growth_invariants_hold_on_real_runs(self, problem):
+        split, config = problem
+        model, trace = evolve(split, config, np.random.default_rng(config.seed))
+
+        chain = (trace.ranked_features[0].score,) + tuple(
+            record.criterion for record in trace.accepted
+        )
+        assert all(b < a for a, b in zip(chain, chain[1:]))
+        if trace.accepted:
+            assert model.criterion_history == chain
+        assert [record.layer for record in trace.accepted] == list(
+            range(1, len(trace.accepted) + 1)
+        )
+        for record in trace.rejected:
+            assert record.criterion >= record.best_before
+        positions = [record.position for record in trace.rejected]
+        assert all(position >= 2 for position in positions)
+        assert positions == sorted(positions)
+        assert trace.degenerate == (not trace.accepted)
 
 
 class TestEvolve:
@@ -246,9 +287,11 @@ class TestAnchorModel:
     def test_matches_the_ranking_head_of_evolve(self, small_split):
         config = TrainConfig(seed=21)
         model, trace = evolve(small_split, config, rng_for_run(21, 0))
-        baseline = anchor_model(small_split, config, rng_for_run(21, 0))
-        assert baseline.anchor_feature == trace.ranked_features[0].feature
+        baseline = anchor_baseline(small_split, model.anchor_feature, config,
+                                   rng_for_run(21, 0))
+        assert model.anchor_feature == trace.ranked_features[0].feature
         assert baseline.criterion_history == (trace.ranked_features[0].score,)
+        assert baseline.criterion_history[0] == model.criterion_history[0]
         assert baseline.size == 1 and baseline.neurons[0].p == 1
 
     def test_degenerate_evolve_equals_anchor_model(self):
@@ -256,9 +299,11 @@ class TestAnchorModel:
         config = TrainConfig(delta=10.0, seed=2)
         model, trace = evolve(split, config, rng_for_run(2, 0))
         assert trace.degenerate
-        baseline = anchor_model(split, config, rng_for_run(2, 0))
-        np.testing.assert_array_equal(model.neurons[0].weights,
-                                      baseline.neurons[0].weights)
+        baseline = anchor_baseline(split, model.anchor_feature, config,
+                                   rng_for_run(2, 0))
+        assert (model.neurons[0].weights.tobytes()
+                == baseline.neurons[0].weights.tobytes())
+        assert model.criterion_history == baseline.criterion_history
 
 
 class TestSeeding:
@@ -386,6 +431,23 @@ class TestMultiRun:
                                  runs=2)
         assert all(0.0 <= s.test_error_pct <= 100.0 for s in summaries)
         assert all(s.train_error_pct == s.test_error_pct for s in summaries)
+
+    def test_zero_feature_columns_raise_a_data_error(self):
+        data = Dataset(np.empty((10, 0)), np.arange(10) % 2)
+        with pytest.raises(DataError, match="no feature columns"):
+            multi_run(data, None, TrainConfig(), runs=1)
+        with pytest.raises(DataError, match="no feature columns"):
+            split_odd_even(data)
+
+    def test_non_finite_feature_raises_a_data_error_at_its_row(self, small_dataset):
+        features = small_dataset.features.copy()
+        features[5, 1] = np.nan
+        data = Dataset(features, small_dataset.targets)
+        message = "^invalid features: non-finite feature value at row 6, column 1$"
+        with pytest.raises(DataError, match=message):
+            multi_run(data, None, TrainConfig(), runs=2)
+        with pytest.raises(DataError, match=message):
+            split_odd_even(data)
 
     def test_feature_count_mismatch_raises(self, small_dataset):
         wider = Dataset(np.zeros((4, 5)), np.zeros(4))

@@ -23,19 +23,34 @@ from ecnn import (
     fit_neuron,
     fit_neuron_from_init,
     init_weights,
-    projection_update,
     sigmoid,
-    validation_error,
 )
+from ecnn.fitting import _norm, _project, _projection_scale
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
+def validation_error(residuals_b) -> float:
+    """Oracle: the Euclidean norm ||eta_B|| of the validation residuals."""
+    return float(np.linalg.norm(residuals_b))
+
+
+def projection_update(weights, inputs_a, residuals_a, chi):
+    """Oracle: one projection step w - chi * (U eta) / ||U||^2, with the
+    Frobenius norm over every entry of U, bias row included."""
+    U = np.asarray(inputs_a, dtype=float)
+    return np.asarray(weights) - (chi / np.sum(U * U)) * (U @ residuals_a)
+
+
+def kernel_step(weights, inputs_a, residuals_a, chi):
+    """The step exactly as the fit kernel takes it."""
+    U = np.asarray(inputs_a, dtype=float)
+    return _project(np.asarray(weights, dtype=float), U,
+                    np.asarray(residuals_a, dtype=float), _projection_scale(U, chi))
+
+
 def make_split(features_a, targets_a, features_b, targets_b):
-    a = Dataset(features_a, targets_a)
-    b = Dataset(features_b, targets_b)
-    n_a = a.n
-    return SplitAB(a, b, np.arange(n_a), np.arange(n_a, n_a + b.n))
+    return SplitAB(Dataset(features_a, targets_a), Dataset(features_b, targets_b))
 
 
 class TestSigmoid:
@@ -59,59 +74,50 @@ class TestSigmoid:
 
 
 class TestValidationError:
+    """The kernel's criterion norm against hand cases and the oracle."""
+
     def test_zero_residuals(self):
-        assert validation_error([0.0, 0.0, 0.0]) == 0.0
+        assert _norm(np.zeros(3)) == 0.0
 
     def test_three_four_five(self):
-        assert validation_error([3.0, 4.0]) == 5.0
+        assert _norm(np.array([3.0, 4.0])) == 5.0
 
     def test_single_negative_element(self):
-        assert validation_error([-0.5]) == 0.5
-
-    def test_empty_vector_raises(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            validation_error([])
+        assert _norm(np.array([-0.5])) == 0.5
 
     @given(st.lists(finite_floats, min_size=1, max_size=20))
     @settings(max_examples=200)
     def test_matches_naive_root_sum_of_squares(self, residuals):
         naive = math.sqrt(sum(r * r for r in residuals))
-        assert validation_error(residuals) == pytest.approx(naive, abs=1e-12, rel=1e-12)
+        assert _norm(np.array(residuals)) == pytest.approx(naive, abs=1e-12, rel=1e-12)
 
     def test_is_the_euclidean_norm(self, rng):
         residuals = rng.standard_normal(40)
-        assert validation_error(residuals) == float(np.linalg.norm(residuals))
-
-    @pytest.mark.parametrize("view", [slice(None, None, 3), slice(None, None, -1)])
-    def test_is_the_euclidean_norm_of_strided_views(self, rng, view):
-        residuals = rng.standard_normal(1001)[view]
-        assert validation_error(residuals) == float(np.linalg.norm(residuals))
+        assert _norm(residuals) == validation_error(residuals)
 
 
 class TestProjectionUpdate:
+    """The kernel's projection step against hand cases and the oracle."""
+
     def test_zero_residuals_leave_weights_unchanged(self, rng):
         w = rng.standard_normal(3)
         U = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(projection_update(w, U, np.zeros(5), 1.9), w)
+        np.testing.assert_array_equal(kernel_step(w, U, np.zeros(5), 1.9), w)
 
     def test_zero_chi_leaves_weights_unchanged(self, rng):
         w = rng.standard_normal(3)
         U = rng.standard_normal((3, 5))
         eta = rng.standard_normal(5)
-        np.testing.assert_array_equal(projection_update(w, U, eta, 0.0), w)
+        np.testing.assert_array_equal(kernel_step(w, U, eta, 0.0), w)
 
     def test_hand_computed_single_example(self):
         # ||U||^2 = 2, correction = 1.9 * (1/2) * (0.5, 0.5)
-        w = projection_update([0.0, 0.0], [[1.0], [1.0]], [0.5], 1.9)
+        w = kernel_step([0.0, 0.0], [[1.0], [1.0]], [0.5], 1.9)
         np.testing.assert_allclose(w, [-0.475, -0.475], atol=1e-15)
 
     def test_all_zero_design_matrix_raises(self):
         with pytest.raises(SingularInputError):
-            projection_update([0.0, 0.0], np.zeros((2, 3)), np.ones(3), 1.9)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(DataError, match="shape"):
-            projection_update([0.0, 0.0, 0.0], np.ones((2, 3)), np.ones(3), 1.9)
+            _projection_scale(np.zeros((2, 3)), 1.9)
 
     @given(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
     @settings(max_examples=50)
@@ -120,8 +126,8 @@ class TestProjectionUpdate:
         w = gen.standard_normal(4)
         U = gen.standard_normal((4, 6))
         eta = gen.standard_normal(6)
-        base = projection_update(w, U, eta, 1.9) - w
-        scaled = projection_update(w, U, scale * eta, 1.9) - w
+        base = kernel_step(w, U, eta, 1.9) - w
+        scaled = kernel_step(w, U, scale * eta, 1.9) - w
         np.testing.assert_allclose(scaled, scale * base, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, -3.0, 10.0])
@@ -129,9 +135,21 @@ class TestProjectionUpdate:
         w = rng.standard_normal(3)
         U = rng.standard_normal((3, 7))
         eta = rng.standard_normal(7)
-        base = projection_update(w, U, eta, 1.9) - w
-        scaled = projection_update(w, scale * U, eta, 1.9) - w
+        base = kernel_step(w, U, eta, 1.9) - w
+        scaled = kernel_step(w, scale * U, eta, 1.9) - w
         np.testing.assert_allclose(scaled, base / scale, atol=1e-10)
+
+    @given(p=st.integers(1, 8), n_a=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_kernel_step_matches_the_formula(self, p, n_a, seed):
+        gen = np.random.default_rng(seed)
+        w = gen.standard_normal(p + 1)
+        U = np.vstack([gen.standard_normal((p, n_a)), np.ones(n_a)])
+        eta = gen.random(n_a) - 0.5
+        np.testing.assert_allclose(kernel_step(w, U, eta, 1.9),
+                                   projection_update(w, U, eta, 1.9),
+                                   rtol=0, atol=1e-12)
 
 
 class TestInitWeights:
@@ -298,7 +316,7 @@ class TestFitNeuron:
 
 
 def reference_fit(split, wiring, prior_a, prior_b, init, config):
-    """The projection loop written plainly from the public step functions.
+    """The projection loop written plainly from the oracle formulas above.
 
     Returns (weights, criterion, steps, trace, cause) where cause is how
     the loop ended: "gain" (improvement below delta), "rise" (validation
