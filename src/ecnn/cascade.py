@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import CascadeModel, Dataset
+from .domain import CascadeModel, Dataset, Feature
 from .errors import DataError
 from .fitting import design_matrix, sigmoid
 
@@ -22,24 +22,34 @@ def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray
     Returns (outputs, final) where outputs has one row per neuron in layer
     order and final is the last row.  When the model carries normalization
     statistics they are applied to the raw features first; the features
-    must then provide exactly the training-time column count.
+    must then provide exactly the training-time column count.  Only the
+    columns the model reads are copied and normalized.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise DataError(f"features must form a 2-dimensional matrix, got {X.shape}")
+    columns = used_features(model)
     if model.normalization_stats is not None:
-        X = model.normalization_stats.transform(X)
+        X = model.normalization_stats.transform(X, columns)
     elif X.shape[1] < model.required_features:
         raise DataError(
             f"model reads {model.required_features} feature columns, "
             f"data has {X.shape[1]}"
         )
+    else:
+        X = X[:, columns]
+    # Feature column c of the model is column slot[c] of X.
+    slot = {column: k for k, column in enumerate(columns)}
     n = X.shape[0]
     outputs = np.empty((model.size, n))
     for idx, neuron in enumerate(model.neurons):
+        wiring = tuple(
+            Feature(slot[src.column]) if isinstance(src, Feature) else src
+            for src in neuron.wiring
+        )
         # The bias is added apart from the product: folding it into
         # ``weights @ U`` as fitting does changes the last bits of scores.
-        U = design_matrix(X, neuron.wiring, outputs[:idx])
+        U = design_matrix(X, wiring, outputs[:idx])
         outputs[idx] = sigmoid(neuron.weights[0] + neuron.weights[1:] @ U[1:])
     return outputs, outputs[-1]
 

@@ -104,15 +104,110 @@ def _parse_cells(path, label_column) -> tuple[list[str], np.ndarray, int | None]
     return header, values, label_idx
 
 
+# Bytes a body may hold for the JSON stage: the number bytes it deletes
+# first, then the separators and signs it counts.
+_DIGIT_BYTES = b"0123456789.+"
+_SIGN_BYTES = b",\n\r-eE"
+# Body text parsed at once by the JSON stage.  Its Python objects take
+# about 8 times the text, so small blocks keep the parse's peak near the
+# table itself; on 50000x72 the speed hardly changes from 8 KiB to 1 MiB.
+_READ_BLOCK_BYTES = 1 << 16
+# orjson takes an 8 MiB parse buffer on its first ``loads`` and keeps it for
+# the life of the process.  Taken at import, glibc still maps a block that
+# large apart from the heap.  Taken after large arrays were freed, it comes
+# from the heap and can split the space later tables reuse: in a process
+# scoring a 50000x72 CSV over and over, that added 2 MB to the peak RSS,
+# and 52 MB in 3 of 9 runs.
+orjson.loads(b"0")
+
+
+def _line_blocks(handle):
+    """The rest of a binary ``handle`` in blocks of whole lines, each of
+    about ``_READ_BLOCK_BYTES``; only the last may lack its line end."""
+    pieces = []
+    while chunk := handle.read(_READ_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pieces.append(chunk)
+            continue
+        pieces.append(chunk[:cut])
+        yield b"".join(pieces)
+        pieces = [chunk[cut:]]
+    if tail := b"".join(pieces):
+        yield tail
+
+
+def _parse_json_blocks(path) -> tuple[list[str], np.ndarray] | None:
+    """The body parsed by orjson, one block of lines at a time.
+
+    A first pass counts the lines and screens the bytes; the second
+    rewrites each block as one JSON array of arrays and writes it into the
+    table sized by the first.  orjson rounds decimal text to the nearest
+    double as ``float()`` does (Clinger 1990; Lemire 2021), so every number
+    it accepts has the reference's bits.  Returns None unless the header
+    has no quotes, every body byte is a digit, one of ``eE+-.,`` or a line
+    end, the lines all end alike (CRLF or LF), each cell is a JSON number
+    (no ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, empty cell or
+    overflow to infinity) other than the integer ``-0``, and every line
+    has the header's cell count.
+    """
+    try:
+        with open(path, "rb") as handle:
+            line = handle.readline().decode("utf-8")
+            if '"' in line:  # csv lets a quoted name run on past the line
+                return None
+            header = next(csv.reader([line]), None)
+            if not header:
+                return None
+            body = handle.tell()
+            newlines = minus = carriage_returns = crlf = 0
+            ends_open = False
+            for block in _line_blocks(handle):
+                signs = block.translate(None, _DIGIT_BYTES)
+                if signs.translate(None, _SIGN_BYTES):
+                    return None
+                newlines += signs.count(b"\n")
+                # Minus signs of mantissas; an exponent's follows its e.
+                minus += signs.count(b"-") - signs.count(b"e-") - signs.count(b"E-")
+                if b"\r" in signs:
+                    carriage_returns += signs.count(b"\r")
+                    crlf += block.count(b"\r\n")
+                ends_open = not block.endswith(b"\n")
+            # csv ends a row at a lone CR, which JSON reads as a space.
+            if carriage_returns and not carriage_returns == crlf == newlines:
+                return None
+            rows = newlines + ends_open
+            if not rows:
+                return None
+            values = np.empty((rows, len(header)))
+            handle.seek(body)
+            row = 0
+            for block in _line_blocks(handle):
+                text = block.replace(b"\n", b"],[")
+                end = len(text) - 3 if block.endswith(b"\n") else len(text)
+                cells = np.array(
+                    orjson.loads(b"[[%b]]" % memoryview(text)[:end]), dtype=float
+                )
+                if cells.shape[1] != len(header):
+                    return None
+                values[row:row + len(cells)] = cells
+                row += len(cells)
+    # ValueError covers decoding, orjson's errors and ragged lines.
+    except (OSError, ValueError, csv.Error):
+        return None
+    # A mantissa's minus sign sets its value's sign bit, except on the
+    # integer -0: orjson reads it as int 0, where float("-0") is -0.0.
+    if row != rows or np.count_nonzero(np.signbit(values)) != minus:
+        return None
+    return [cell.strip() for cell in header], values
+
+
 def _parse_columnar(path) -> tuple[list[str], np.ndarray] | None:
     """The header via ``csv`` and the body parsed in C by ``np.loadtxt``.
 
     Returns None whenever the result might differ from :func:`_parse_cells`:
     numpy refused a cell (quoted cells, ``1_0``, non-ASCII digits, ragged or
-    whitespace-only lines) or the table does not match the header.  One
-    input still reads differently: an unquoted cell longer than the csv
-    module's field limit (131072 characters) is parsed as a number here,
-    where the per-cell parse reports malformed CSV.
+    whitespace-only lines) or the table does not match the header.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -138,12 +233,19 @@ def _load_table(path, label_column) -> tuple[list[str], np.ndarray, int | None]:
     when ``label_column`` is None).  Row N in an error is the Nth data row
     below the header.
 
-    The columnar parse serves well-formed files.  Any file it cannot vouch
-    for, or whose labels are not all 0 or 1, is parsed again cell by cell,
-    which loads it or raises its exact error.
+    The fast stages are tried in order; each returns the header and the
+    value matrix, or None when it cannot vouch for the file.  A file no
+    fast stage vouches for, or whose labels are not all 0 or 1, is parsed
+    again cell by cell by :func:`_parse_cells`, which loads it or raises
+    its exact error.  The fast stages read every file they accept with the
+    reference's bits, with one known exception: an unquoted cell longer
+    than the csv module's field limit (131072 characters) is parsed as a
+    number, where the per-cell parse reports malformed CSV.
     """
-    parsed = _parse_columnar(path)
-    if parsed is not None:
+    for stage in (_parse_json_blocks, _parse_columnar):
+        parsed = stage(path)
+        if parsed is None:
+            continue
         header, values = parsed
         if label_column is None:
             return header, values, None
@@ -151,6 +253,7 @@ def _load_table(path, label_column) -> tuple[list[str], np.ndarray, int | None]:
         labels = values[:, label_idx]
         if np.all((labels == 0.0) | (labels == 1.0)):
             return header, values, label_idx
+        break  # the next fast stage would read the same labels
     return _parse_cells(path, label_column)
 
 

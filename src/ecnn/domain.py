@@ -293,20 +293,28 @@ class FeatureStats:
         """Columns whose training variance was zero."""
         return tuple(int(j) for j in np.nonzero(self.std == 0.0)[0])
 
-    def transform(self, features) -> np.ndarray:
-        """Center and scale a row vector or matrix; constant columns map to 0."""
+    def transform(self, features, columns=None) -> np.ndarray:
+        """Center and scale a row vector or matrix; constant columns map to 0.
+
+        With ``columns``, only those columns of ``features`` are computed
+        and returned, in that order, with the same bits as the full result.
+        """
         X = np.asarray(features, dtype=float)
         if X.shape[-1] != self.m:
             raise DataError(
                 f"feature count mismatch: statistics cover {self.m} columns, "
                 f"data has {X.shape[-1]}"
             )
+        mean, std = self.mean, self.std
+        if columns is not None:
+            columns = list(columns)
+            X, mean, std = X[..., columns], mean[columns], std[columns]
         # One output buffer; constant columns are never computed, so they
         # stay exactly 0 and raise no floating-point warnings.
         out = np.zeros_like(X)
-        scaled = self.std > 0.0
-        np.subtract(X, self.mean, out=out, where=scaled)
-        np.divide(out, self.std, out=out, where=scaled)
+        scaled = std > 0.0
+        np.subtract(X, mean, out=out, where=scaled)
+        np.divide(out, std, out=out, where=scaled)
         return out
 
 

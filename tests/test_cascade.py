@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,24 @@ class TestForward:
         _, expected = forward_batch(bare, stats.transform(raw))
         _, got = forward_batch(stamped, raw)
         np.testing.assert_array_equal(got, expected)
+
+    def test_normalizes_only_the_columns_the_model_reads(self, rng):
+        # A model reading 2 of 60 columns must not build a normalized copy
+        # of the whole (n, 60) matrix.
+        n, m = 20000, 60
+        stats = FeatureStats(mean=rng.standard_normal(m), std=rng.random(m) + 0.5)
+        model = build_cascade([rng.standard_normal(3)], [41], anchor=7, stats=stats)
+        X = rng.standard_normal((n, m))
+        tracemalloc.start()
+        try:
+            _, got = forward_batch(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4
+        bare = build_cascade([model.neurons[0].weights], [41], anchor=7)
+        _, want = forward_batch(bare, stats.transform(X))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestClassify:

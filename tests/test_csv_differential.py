@@ -1,16 +1,19 @@
 """The CSV loaders and writer against plain per-cell reference versions.
 
-``load_csv`` and ``load_matrix_csv`` parse the table in C and fall back to
-a per-cell parse only when that cannot vouch for the file.  The reference
-below is the per-cell parser on its own; on every generated text both must
-return the same float bits and names, or raise a ``DataError`` with the
-same message.  The writer is held to the bytes of a whole-text writer that
+``load_csv`` and ``load_matrix_csv`` parse the table in C, by orjson or
+else by numpy, and fall back to a per-cell parse only when neither can
+vouch for the file.  The reference below is the per-cell parser on its
+own; on every generated text both must return the same float bits and
+names, or raise a ``DataError`` with the same message.  The writer is held to the bytes of a whole-text writer that
 prints one ``repr`` per cell.
 """
 
 from __future__ import annotations
 
 import csv
+import decimal
+import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecnn import DataError, Dataset, load_csv, load_matrix_csv, write_csv
+from ecnn.data_io import _parse_json_blocks
 
 
 # -- reference implementations ----------------------------------------------
@@ -246,6 +250,126 @@ class TestLoadersMatchTheReference:
     def test_edge_cases(self, tmp_path, body, label_column):
         path = tmp_path / "d.csv"
         path.write_bytes(("a,b,y\n" + body).encode("utf-8"))
+        assert_loaders_match(path, label_column)
+
+
+# Cells a clean body is made of, so that the file reaches the first
+# (orjson) parse stage: every one must come back with float()'s bits.
+
+
+def double_of(pattern):
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+def halfway_text(pattern, nudge):
+    """The exact decimal midway between a finite double and the next one
+    up, moved by ``nudge`` 2**-40ths of the gap (0 keeps it on the tie)."""
+    low = abs(double_of(pattern))
+    if not math.isfinite(low) or low == sys.float_info.max:
+        low = 1.0
+    with decimal.localcontext() as context:
+        context.prec = 2000  # more than any double's exact digits
+        below, above = decimal.Decimal(low), decimal.Decimal(math.nextafter(low, math.inf))
+        middle = (below + above) / 2 + nudge * (above - below) / 2**40
+        return str(middle)
+
+
+REPR_CELLS = st.integers(0, 2**64 - 1).map(lambda p: repr(double_of(p)))
+HALFWAY_CELLS = st.builds(halfway_text, st.integers(0, 2**64 - 1), st.sampled_from([0, 0, -1, 1]))
+LONG_DECIMAL_CELLS = st.builds(
+    lambda sign, digits, point, exponent: (
+        f"{sign}{str(digits)[:point]}.{str(digits)[point:]}e{exponent}"
+    ),
+    st.sampled_from(["", "-"]), st.integers(10**16, 10**25 - 1),
+    st.integers(1, 16), st.integers(-345, 310),
+)
+SUBNORMAL_CELLS = st.builds(
+    lambda sign, mantissa: repr(double_of((sign << 63) | mantissa)),
+    st.integers(0, 1), st.integers(1, 2**52 - 1),
+)
+EXACT_CELLS = st.sampled_from([
+    "-0", "-0.0", "-0e5", "0", "0.0", "1e+16", "1E5", "-2.5E-3", "1e0",
+    "5e-324", "-5e-324", "4.9e-324", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+    "1.7976931348623159e308", "9007199254740993", "-9007199254740993",
+    "9223372036854775808", "-9223372036854775809", "18446744073709551615",
+    "18446744073709551616", "123456789012345678901234567890",
+    "1e400", "-1e400", "1e-400", "-1e-400", "1e0000000000000000000001",
+])
+FIRST_STAGE_CELLS = st.one_of(
+    REPR_CELLS, HALFWAY_CELLS, LONG_DECIMAL_CELLS, SUBNORMAL_CELLS, EXACT_CELLS,
+)
+FIRST_STAGE_LABELS = st.sampled_from(["0", "1", "0", "1", "1.0", "0e0", "-0"])
+
+
+@st.composite
+def first_stage_texts(draw):
+    """A headed CSV whose body holds JSON numbers only, one line end
+    throughout: the files the first parse stage serves."""
+    width = draw(st.integers(1, 4))
+    lines = [",".join([f"c{j}" for j in range(width - 1)] + ["y"])]
+    for _ in range(draw(st.integers(1, 6))):
+        cells = draw(st.lists(FIRST_STAGE_CELLS, min_size=width - 1, max_size=width - 1))
+        lines.append(",".join(cells + [draw(FIRST_STAGE_LABELS)]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+class TestFirstStageMatchesTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(text=first_stage_texts(), label_column=st.sampled_from(["y", 0, "c0"]))
+    def test_same_bits_or_same_error(self, text, label_column):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert_loaders_match(path, label_column)
+
+    @pytest.mark.parametrize("body", [
+        ".5,2.0,1\n",
+        "5.,2.0,1\n",
+        "+1,2.0,1\n",
+        "01,2.0,1\n",
+        "nan,2.0,1\n",
+        "inf,2.0,1\n",
+        "-inf,2.0,0\n",
+        "1.0, 2.0,1\n",
+        "1.0,2.0 ,1\n",
+        '"1.0",2.0,1\n',
+        "1.0,2.0,1\n\n3.0,4.0,0\n",
+        "1.0,2.0,1\r\n3.0,4.0,0\n",
+        "1.0,2.0,1\n3.0,4.0,0\r\n",
+        "1.0,2.0,1\r3.0,4.0,0\r",
+        "1.0,\r2.0,1\n",
+        "1.0,2.0,-0\n",
+        "-0,2.0,1\n",
+        "1.0,,1\n",
+        "1.0,2.0,1,\n",
+        "1e400,2.0,1\n",
+        "1.0\n0\n",
+        "1.0,2.0\n3.0,4.0\n",
+    ])
+    @pytest.mark.parametrize("label_column", ["y", 2])
+    def test_forms_the_first_stage_refuses(self, tmp_path, body, label_column):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("a,b,y\n" + body).encode("utf-8"))
+        assert _parse_json_blocks(path) is None
+        assert_loaders_match(path, label_column)
+
+    @pytest.mark.parametrize("text", [
+        '"a","b",y\n1.0,2.0,1\n',
+        '"a,b,y\n1.0,2.0,1\n',
+        '"y\n1\n',
+        '"a\nb",y\n1.0,1\n',
+        "a,b\ry\n1.0,2.0,1\n",
+        "\na,b,y\n1.0,2.0,1\n",
+        "a,b,y\r\n1.0,2.0,1\n",
+        "a,b,y",
+        "",
+    ])
+    @pytest.mark.parametrize("label_column", ["y", 2])
+    def test_unusual_headers(self, tmp_path, text, label_column):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
         assert_loaders_match(path, label_column)
 
 

@@ -19,6 +19,9 @@ from ecnn import (
     synth_dataset,
     write_csv,
 )
+from ecnn.cli import run
+
+import ecnn.data_io as data_io
 
 
 def write_text(path, text):
@@ -113,6 +116,76 @@ class TestLoadCsv:
             tracemalloc.stop()
         kept = loaded.features.nbytes + loaded.targets.nbytes
         assert peak <= 2.5 * kept
+
+
+def refuse(path, *args):
+    raise AssertionError(f"a slower parse stage was asked to read {path}")
+
+
+class TestParseStages:
+    """Which stage of ``_load_table`` serves a file: bench and CLI inputs
+    must stay on the first (orjson) stage."""
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: text,
+        lambda text: text.rstrip(b"\n"),
+        lambda text: text.replace(b"\n", b"\r\n"),
+    ], ids=["as-written", "no-final-line-end", "crlf"])
+    def test_written_files_are_served_by_the_first_stage(
+        self, tmp_path, monkeypatch, rewrite
+    ):
+        gen = np.random.default_rng(11)
+        features = gen.standard_normal((3000, 6)) * 10.0 ** gen.integers(-8, 20, (3000, 6))
+        features[0] = [-0.0, 0.0, 5e-324, -1e-300, 1e16, 123456789.0]
+        data = Dataset(features, (gen.random(3000) < 0.5).astype(float))
+        path = tmp_path / "d.csv"
+        write_csv(path, data)
+        path.write_bytes(rewrite(path.read_bytes()))
+        monkeypatch.setattr(data_io, "_parse_columnar", refuse)
+        monkeypatch.setattr(data_io, "_parse_cells", refuse)
+        loaded = load_csv(path, label_column="y")
+        assert loaded.features.view(np.uint64).tolist() == data.features.view(np.uint64).tolist()
+        assert loaded.targets.tolist() == data.targets.tolist()
+        matrix, names = load_matrix_csv(path)
+        assert matrix.shape == (3000, 7)
+        assert names[-1] == "y"
+
+    def test_synth_files_are_served_by_the_first_stage(self, tmp_path, monkeypatch):
+        path = tmp_path / "synth.csv"
+        assert run([
+            "synth", "--n", "2000", "--m", "9", "--relevant", "1,4", "--seed", "5",
+            "--out", str(path),
+        ]) == 0
+        data, _ = synth_dataset(n=2000, m=9, relevant=(1, 4), noise_sigma=0.5, seed=5)
+        monkeypatch.setattr(data_io, "_parse_columnar", refuse)
+        monkeypatch.setattr(data_io, "_parse_cells", refuse)
+        loaded = load_csv(path, label_column="y")
+        assert loaded.features.view(np.uint64).tolist() == data.features.view(np.uint64).tolist()
+        assert loaded.targets.tolist() == data.targets.tolist()
+
+    @pytest.mark.parametrize("body, features, targets", [
+        ("1.0,2.0,-0\n", [[1.0, 2.0]], [-0.0]),
+        ("-0,2.0,1\n", [[-0.0, 2.0]], [1.0]),
+        (".5,2.0,1\n", [[0.5, 2.0]], [1.0]),
+    ])
+    def test_negative_zero_and_bare_point_fall_through(
+        self, tmp_path, monkeypatch, body, features, targets
+    ):
+        path = write_text(tmp_path / "d.csv", "a,b,y\n" + body)
+        calls = []
+        columnar = data_io._parse_columnar
+
+        def spy(path):
+            calls.append(path)
+            return columnar(path)
+
+        monkeypatch.setattr(data_io, "_parse_columnar", spy)
+        assert data_io._parse_json_blocks(path) is None
+        loaded = load_csv(path, label_column="y")
+        assert calls == [path]
+        want = np.array(features)
+        assert loaded.features.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert np.array(targets).view(np.uint64).tolist() == loaded.targets.view(np.uint64).tolist()
 
 
 class TestWriteCsv:

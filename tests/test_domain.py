@@ -405,6 +405,24 @@ class TestFeatureStats:
         with pytest.raises(DataError, match="mismatch"):
             stats.transform([[1.0, 2.0]])
 
+    def test_chosen_columns_have_the_bits_of_the_full_transform(self, rng):
+        X = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-5, 5, (50, 6))
+        std = rng.random(6) + 0.5
+        std[[1, 4]] = 0.0
+        stats = FeatureStats(mean=rng.standard_normal(6), std=std)
+        columns = (4, 0, 3, 1)
+        got = stats.transform(X, columns)
+        assert got.shape == (50, 4)
+        want = stats.transform(X)[:, columns]
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        row = stats.transform(X[7], columns)
+        assert row.view(np.uint64).tolist() == want[7].view(np.uint64).tolist()
+
+    def test_chosen_columns_still_need_the_full_width(self):
+        stats = FeatureStats(mean=[0.0, 0.0, 0.0], std=[1.0, 1.0, 1.0])
+        with pytest.raises(DataError, match="statistics cover 3 columns, data has 2"):
+            stats.transform([[1.0, 2.0]], columns=(0,))
+
     def test_negative_std_is_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             FeatureStats(mean=[0.0], std=[-1.0])
