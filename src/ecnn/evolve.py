@@ -28,7 +28,7 @@ from .domain import (
     SplitAB,
     TrainConfig,
 )
-from .errors import DataError, EcnnError
+from .errors import DataError
 from .fitting import (
     FitResult,
     design_matrix,
@@ -99,9 +99,9 @@ class EvolveTrace:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """One restart's outcome.  ``seed`` alone reproduces the run's random
-    stream.  A run that raised records the message in ``error`` and is
-    excluded from best-model selection."""
+    """One restart's outcome: the size, errors and features of the model it
+    grew.  ``seed`` alone reproduces the run's random stream, and the test
+    error is NaN when no test set was given."""
 
     run_index: int
     seed: int
@@ -109,27 +109,6 @@ class RunSummary:
     train_error_pct: float
     test_error_pct: float
     selected_features: tuple[int, ...]
-    error: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "selected_features", tuple(int(f) for f in self.selected_features)
-        )
-        if self.run_index < 0:
-            raise ValueError("run_index must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.error is None:
-            if self.model_size < 1:
-                raise ValueError("a run that produced a model has at least one neuron")
-            if not 0.0 <= self.train_error_pct <= 100.0:
-                raise ValueError("train error is a percentage")
-            if not (
-                math.isnan(self.test_error_pct) or 0.0 <= self.test_error_pct <= 100.0
-            ):
-                raise ValueError("test error is a percentage or NaN when unmeasured")
-        elif self.model_size != 0:
-            raise ValueError("a failed run has no model")
 
 
 def _rank(
@@ -140,30 +119,17 @@ def _rank(
 
     All m fits start from one init, the generator's first draw, so
     byte-identical feature columns get exactly equal criteria.  Ties break
-    toward the lower column index.  A feature whose fit fails ranks last
-    with an infinite score.  The head of the list is the anchor and its
-    score is the starting criterion of growth.
+    toward the lower column index.  The head of the list is the anchor and
+    its score is the starting criterion of growth.
     """
     init = init_weights(2, config.init_sigma, rng)
-    fits: list[FitResult | None] = []
-    for column in range(split.m):
-        try:
-            fits.append(
-                fit_neuron_from_init(
-                    split, (Feature(column),), None, None, init, config
-                )
-            )
-        except EcnnError:
-            fits.append(None)
-    records = [
-        FitnessRecord(column, math.inf if fit is None else fit.criterion)
-        for column, fit in enumerate(fits)
+    fits = [
+        fit_neuron_from_init(split, (Feature(column),), None, None, init, config)
+        for column in range(split.m)
     ]
+    records = [FitnessRecord(column, fit.criterion) for column, fit in enumerate(fits)]
     ranked = tuple(sorted(records, key=lambda rec: (rec.score, rec.feature)))
-    anchor_fit = fits[ranked[0].feature]
-    if anchor_fit is None:
-        raise EcnnError("every single-feature fit failed; nothing to grow from")
-    return ranked, anchor_fit
+    return ranked, fits[ranked[0].feature]
 
 
 def _wiring(r: int, anchor: int, candidate: int) -> tuple:
@@ -253,11 +219,9 @@ def rng_for_run(master_seed: int, run_index: int) -> np.random.Generator:
 
 def select_best(summaries: list[RunSummary]) -> RunSummary:
     """The restart protocol's winner: minimal training error, ties broken
-    by smaller model, then by lower run index.  Failed runs are skipped."""
-    completed = [s for s in summaries if s.error is None]
-    if not completed:
-        raise EcnnError("every run failed; no model to select")
-    return min(completed, key=_selection_key)
+    by smaller model, then by lower run index.  An empty list raises
+    ``ValueError``."""
+    return min(summaries, key=_selection_key)
 
 
 def _selection_key(summary: RunSummary) -> tuple[float, int, int]:
@@ -275,9 +239,10 @@ def multi_run(
     All runs share the same odd/even fitting/validation split of ``train``;
     only the weight-initialization stream differs, seeded per run from
     ``config.seed``.  Train and test data are used exactly as given, so
-    normalize beforehand if normalization is wanted.  Returns the model
-    with minimal training error (ties: smaller model, then lower run
-    index) plus one summary per run in run order.
+    normalize beforehand if normalization is wanted.  Every restart grows
+    a model, and an error inside one propagates.  Returns the model with
+    minimal training error (ties: smaller model, then lower run index)
+    plus one summary per run in run order.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -290,39 +255,22 @@ def multi_run(
     # The running winner under select_best's key: the same comparisons in
     # the same order as min() over every summary, one model held at a time.
     best: tuple[tuple[float, int, int], CascadeModel] | None = None
+    threshold = config.classification_threshold
     for run_index in range(runs):
         seed = child_seed(config.seed, run_index)
         rng = np.random.default_rng(seed)
-        try:
-            model, _ = evolve(split, config, rng)
-            threshold = config.classification_threshold
-            train_err = error_rate(model, train, threshold)
-            test_err = (
-                error_rate(model, test, threshold) if test is not None else math.nan
-            )
-            summary = RunSummary(
-                run_index=run_index,
-                seed=seed,
-                model_size=model.size,
-                train_error_pct=train_err,
-                test_error_pct=test_err,
-                selected_features=used_features(model),
-            )
-            summaries.append(summary)
-            if best is None or _selection_key(summary) < best[0]:
-                best = (_selection_key(summary), model)
-        except EcnnError as exc:
-            summaries.append(
-                RunSummary(
-                    run_index=run_index,
-                    seed=seed,
-                    model_size=0,
-                    train_error_pct=math.nan,
-                    test_error_pct=math.nan,
-                    selected_features=(),
-                    error=str(exc),
-                )
-            )
-    if best is None:
-        raise EcnnError("every run failed; no model to select")
+        model, _ = evolve(split, config, rng)
+        train_err = error_rate(model, train, threshold)
+        test_err = error_rate(model, test, threshold) if test is not None else math.nan
+        summary = RunSummary(
+            run_index=run_index,
+            seed=seed,
+            model_size=model.size,
+            train_error_pct=train_err,
+            test_error_pct=test_err,
+            selected_features=used_features(model),
+        )
+        summaries.append(summary)
+        if best is None or _selection_key(summary) < best[0]:
+            best = (_selection_key(summary), model)
     return best[1], summaries

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .domain import Feature, PrevNeuron, SplitAB, TrainConfig
-from .errors import DataError, SingularInputError
+from .errors import DataError
 
 __all__ = [
     "SIGMOID_CLAMP",
@@ -102,13 +102,9 @@ def _norm(r: np.ndarray) -> float:
 
 
 def _projection_scale(inputs_a: np.ndarray, chi: float) -> float:
-    """chi / ||U||^2, the step size shared by every step of one fit."""
-    norm_sq = float(np.sum(inputs_a * inputs_a))
-    if norm_sq == 0.0:
-        raise SingularInputError(
-            "the design matrix is identically zero; the projection step is undefined"
-        )
-    return chi / norm_sq
+    """chi / ||U||^2, the step size shared by every step of one fit.  The
+    bias row of ones makes ||U||^2 at least the row count, so it is > 0."""
+    return chi / float(np.sum(inputs_a * inputs_a))
 
 
 def _project(weights, inputs_a, residuals_a, scale: float) -> np.ndarray:
@@ -189,10 +185,7 @@ def fit_neuron_from_init(
             f"weights, got {w_cur.shape}"
         )
     last = config.max_fit_steps
-    # The first projection step is taken at step 1 whenever there is a
-    # step 2, so the step size can be fixed (and a zero design matrix
-    # reported) before the loop without changing when that error fires.
-    scale = _projection_scale(U_A, config.chi) if last > 1 else 0.0
+    scale = _projection_scale(U_A, config.chi)
     residuals_a = np.empty(split.set_a.n)
     residuals_b = np.empty(split.set_b.n)
     w_prev = w_cur

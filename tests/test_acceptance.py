@@ -188,7 +188,8 @@ class TestAcceptance:
                                 seed=21)
         config = TrainConfig(seed=77)
         _, summaries = multi_run(data, None, config, runs=100)
-        sizes = {s.model_size for s in summaries if s.error is None}
+        assert len(summaries) == 100
+        sizes = {s.model_size for s in summaries}
         within = all(1 <= size <= config.max_layers for size in sizes)
         check(
             capfd,

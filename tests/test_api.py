@@ -37,7 +37,6 @@ PUBLIC_API = [
     # errors
     "EcnnError",
     "DataError",
-    "SingularInputError",
     "ModelFormatError",
     # fitting
     "SIGMOID_CLAMP",
@@ -93,7 +92,8 @@ class TestExports:
     def test_test_only_helpers_are_not_exported(self):
         removed = ["neuron_output", "error_vector", "forward", "classify",
                    "accuracy", "rank_features", "anchor_model", "build_candidate",
-                   "validate_dataset", "validation_error", "projection_update"]
+                   "validate_dataset", "validation_error", "projection_update",
+                   "SingularInputError"]
         assert [name for name in removed if hasattr(ecnn, name)] == []
 
     def test_every_export_has_a_caller_outside_the_tests(self):
@@ -160,6 +160,22 @@ class TestModuleNames:
         assert isinstance(E, types.ModuleType)
         assert E is importlib.import_module("ecnn.evolve")
         assert callable(E.evolve)
+
+
+class TestTracedNames:
+    def test_every_name_the_bench_tracer_wraps_is_callable(self, monkeypatch):
+        # A rename or an inlined function would silently drop a traced span.
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        tracer = importlib.import_module("tracer")
+        import ecnn.cli
+
+        points = tracer.patch_points(ecnn.cli, sys.modules["ecnn.evolve"])
+        assert points
+        assert [
+            (namespace.__name__, attribute)
+            for namespace, attribute, *_ in points
+            if not callable(getattr(namespace, attribute, None))
+        ] == []
 
 
 def declared_dependencies():

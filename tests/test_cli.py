@@ -158,6 +158,10 @@ class TestTrain:
             ("--test-fraction", "1.0"),
             ("--chi", "-1.0"),
             ("--threshold", "1.5"),
+            ("--chi", "inf"),
+            ("--delta", "inf"),
+            ("--init-sigma", "nan"),
+            ("--init-sigma", "inf"),
         ],
     )
     def test_invalid_values_are_usage_errors(self, tmp_path, train_csv, capsys,
@@ -393,6 +397,25 @@ class TestEval:
         assert "data error" in stderr
 
 
+class TestThresholdFlag:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("value", ["5", "nan", "inf", "0", "1"])
+    def test_outside_the_unit_interval_is_a_usage_error(
+        self, tmp_path, saved_model, capsys, command, value
+    ):
+        data = tmp_path / "d.csv"
+        data.write_text("x0,x1,y\n0.0,1.0,1\n0.0,-1.0,0\n", encoding="utf-8")
+        code, stdout, stderr = invoke(
+            capsys, command, "--model", str(saved_model), "--data", str(data),
+            "--label", "y", "--threshold", value,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "usage error: classification_threshold must be inside (0, 1)\n"
+        )
+
+
 class TestReport:
     def summary_csv(self, tmp_path, rows):
         header = "run,seed,size,train_error_pct,test_error_pct,features,status"
@@ -444,10 +467,11 @@ class TestReport:
         )
         assert code == 2
 
-    def test_non_positive_bin_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("width", ["0", "nan", "inf"])
+    def test_non_positive_bin_is_a_usage_error(self, tmp_path, capsys, width):
         path = self.summary_csv(tmp_path, ["0,10,1,0.2,,0,ok"])
         code, _, stderr = invoke(
-            capsys, "report", "--summary", str(path), "--bin", "0"
+            capsys, "report", "--summary", str(path), "--bin", width
         )
         assert code == 1
         assert "usage error" in stderr
@@ -475,7 +499,7 @@ class TestExitCodes:
     def test_training_failure_maps_to_exit_3(self, tmp_path, train_csv, capsys,
                                              monkeypatch):
         def fail(*args, **kwargs):
-            raise EcnnError("every run failed")
+            raise EcnnError("training went wrong")
 
         monkeypatch.setattr(ecnn.cli, "multi_run", fail)
         code, _, stderr = invoke(
@@ -483,7 +507,7 @@ class TestExitCodes:
             "--runs", "1", "--out", str(tmp_path / "m.ecnn"),
         )
         assert code == 3
-        assert stderr.startswith("error: every run failed")
+        assert stderr.startswith("error: training went wrong")
 
     def test_version_flag_prints_and_exits(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -345,12 +345,18 @@ class TestTrainConfig:
         [
             {"chi": 0.0},
             {"chi": -1.0},
+            {"chi": math.inf},
+            {"chi": math.nan},
             {"delta": 0.0},
+            {"delta": math.inf},
+            {"delta": math.nan},
             {"max_fit_steps": 0},
             {"max_layers": 0},
             {"seed": -1},
             {"seed": 2**64},
             {"init_sigma": -0.5},
+            {"init_sigma": math.inf},
+            {"init_sigma": math.nan},
             {"classification_threshold": 0.0},
             {"classification_threshold": 1.0},
         ],

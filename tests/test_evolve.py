@@ -321,15 +321,14 @@ class TestSeeding:
         np.testing.assert_array_equal(a, b)
 
 
-def summary(run, train, size=3, error=None, **kwargs):
+def summary(run, train, size=3, **kwargs):
     return RunSummary(
         run_index=run,
         seed=1000 + run,
-        model_size=0 if error else size,
-        train_error_pct=math.nan if error else train,
+        model_size=size,
+        train_error_pct=train,
         test_error_pct=math.nan,
-        selected_features=() if error else (0, 1),
-        error=error,
+        selected_features=(0, 1),
         **kwargs,
     )
 
@@ -347,23 +346,9 @@ class TestSelectBest:
         best = select_best([summary(0, 3.0, size=2), summary(1, 3.0, size=2)])
         assert best.run_index == 0
 
-    def test_failed_runs_are_excluded(self):
-        best = select_best([summary(0, math.nan, error="boom"), summary(1, 9.0)])
-        assert best.run_index == 1
-
-    def test_all_failed_raises(self):
-        with pytest.raises(EcnnError, match="every run failed"):
-            select_best([summary(0, math.nan, error="boom")])
-
-
-class TestRunSummary:
-    def test_successful_run_needs_a_model(self):
-        with pytest.raises(ValueError, match="at least one neuron"):
-            RunSummary(0, 1, 0, 5.0, math.nan, ())
-
-    def test_failed_run_must_not_carry_a_model(self):
-        with pytest.raises(ValueError, match="no model"):
-            RunSummary(0, 1, 3, math.nan, math.nan, (), error="boom")
+    def test_empty_list_raises(self):
+        with pytest.raises(ValueError):
+            select_best([])
 
 
 class TestMultiRun:
@@ -414,13 +399,43 @@ class TestMultiRun:
         X = small_dataset.features
         assert forward_batch(best, X)[1].tolist() == forward_batch(direct, X)[1].tolist()
 
-    def test_every_run_failing_raises(self, small_dataset, monkeypatch):
+    def test_an_error_in_a_restart_surfaces_with_its_own_text(
+        self, small_dataset, monkeypatch
+    ):
         def failing_evolve(*args):
             raise EcnnError("boom")
 
         monkeypatch.setattr(ecnn.evolve, "evolve", failing_evolve)
-        with pytest.raises(EcnnError, match="^every run failed; no model to select$"):
+        with pytest.raises(EcnnError, match="^boom$"):
             multi_run(small_dataset, None, TrainConfig(seed=33), runs=3)
+
+    def test_empty_test_set_names_the_cause(self, small_dataset):
+        empty = Dataset(np.empty((0, small_dataset.m)), np.empty(0))
+        with pytest.raises(DataError, match="cannot score an empty dataset"):
+            multi_run(small_dataset, empty, TrainConfig(seed=33), runs=2)
+
+    @given(
+        n=st.integers(40, 200),
+        m=st.integers(2, 6),
+        runs=st.integers(1, 4),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_restart_yields_a_model(self, n, m, runs, data_seed, seed):
+        data, _ = synth_dataset(n=n, m=m, relevant=(0, m - 1), noise_sigma=0.5,
+                                seed=data_seed)
+        config = TrainConfig(seed=seed)
+        best, summaries = multi_run(data, None, config, runs)
+        assert len(summaries) == runs
+        for i, s in enumerate(summaries):
+            assert s.run_index == i
+            assert s.seed == child_seed(config.seed, i)
+            assert s.model_size >= 1
+            assert 0.0 <= s.train_error_pct <= 100.0
+        chosen = select_best(summaries)
+        assert best.size == chosen.model_size
+        assert used_features(best) == chosen.selected_features
 
     def test_no_test_set_records_nan(self, small_dataset):
         _, summaries = multi_run(small_dataset, None, TrainConfig(seed=1), runs=2)

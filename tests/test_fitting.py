@@ -16,7 +16,6 @@ from ecnn import (
     FitResult,
     PrevNeuron,
     SIGMOID_CLAMP,
-    SingularInputError,
     SplitAB,
     TrainConfig,
     design_matrix,
@@ -114,10 +113,6 @@ class TestProjectionUpdate:
         # ||U||^2 = 2, correction = 1.9 * (1/2) * (0.5, 0.5)
         w = kernel_step([0.0, 0.0], [[1.0], [1.0]], [0.5], 1.9)
         np.testing.assert_allclose(w, [-0.475, -0.475], atol=1e-15)
-
-    def test_all_zero_design_matrix_raises(self):
-        with pytest.raises(SingularInputError):
-            _projection_scale(np.zeros((2, 3)), 1.9)
 
     @given(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
     @settings(max_examples=50)
