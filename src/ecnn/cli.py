@@ -111,6 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs", type=int, default=100, help="number of restarts (default 100)"
     )
     train.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes for the restarts, at most the usable CPUs "
+        "(default: min(runs, usable CPUs)); outputs are identical for every value",
+    )
+    train.add_argument(
         "--test-fraction", type=float, default=0.0,
         help="hold out this fraction as a test set (0 disables, the default)",
     )
@@ -250,9 +255,20 @@ def _write_summary_csv(path, summaries) -> None:
             )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_train(args) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be >= 1")
+    usable = _usable_cpus()
+    jobs = min(args.runs, usable) if args.jobs is None else args.jobs
+    if not 1 <= jobs <= usable:
+        raise UsageError(f"--jobs must be in [1, {usable}] (the usable CPUs)")
     if not 0.0 <= args.test_fraction < 1.0:
         raise UsageError("--test-fraction must be in [0, 1)")
     config = _config_from_args(args)
@@ -276,7 +292,7 @@ def cmd_train(args) -> int:
         )
     )
 
-    best_model, summaries = multi_run(train_norm, test_norm, config, args.runs)
+    best_model, summaries = multi_run(train_norm, test_norm, config, args.runs, jobs)
     best = select_best(summaries)
     final_model = best_model.with_normalization(stats)
 

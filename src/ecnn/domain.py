@@ -253,6 +253,11 @@ class NeuronSpec:
         if tail[0].column == tail[1].column:
             raise ValueError("the two feature inputs must use distinct columns")
 
+    def __reduce__(self):
+        # Unpickle through the constructor: a plain unpickled array is
+        # writeable, and the weights must stay frozen across processes.
+        return NeuronSpec, (self.layer, self.wiring, self.weights)
+
     @property
     def p(self) -> int:
         """Number of inputs (the bias is not counted)."""

@@ -5,14 +5,15 @@ anchors the cascade on the best one, then repeatedly fits a candidate
 neuron wired to all earlier outputs, the anchor, and the next ranked
 feature.  A candidate joins the cascade only if it strictly lowers the
 criterion; otherwise the ranked list advances.  The restart harness
-repeats growth from many random initializations and keeps the model with
-the lowest training error.
+repeats growth from many random initializations, in this process or in
+forked workers, and keeps the model with the lowest training error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -228,11 +229,47 @@ def _selection_key(summary: RunSummary) -> tuple[float, int, int]:
     return summary.train_error_pct, summary.model_size, summary.run_index
 
 
+def _restart(
+    train: Dataset,
+    test: Dataset | None,
+    config: TrainConfig,
+    split: SplitAB,
+    run_index: int,
+) -> tuple[RunSummary, CascadeModel]:
+    """Grow restart ``run_index`` and measure the model it grew."""
+    seed = child_seed(config.seed, run_index)
+    model, _ = evolve(split, config, np.random.default_rng(seed))
+    threshold = config.classification_threshold
+    summary = RunSummary(
+        run_index=run_index,
+        seed=seed,
+        model_size=model.size,
+        train_error_pct=error_rate(model, train, threshold),
+        test_error_pct=math.nan if test is None else error_rate(model, test, threshold),
+        selected_features=used_features(model),
+    )
+    return summary, model
+
+
+# Set once in each pool worker by the initializer; never in the caller.
+_worker_restart = None
+
+
+def _adopt(restart) -> None:
+    global _worker_restart
+    _worker_restart = restart
+
+
+def _restart_in_worker(run_index: int) -> tuple[RunSummary, CascadeModel]:
+    return _worker_restart(run_index)
+
+
 def multi_run(
     train: Dataset,
     test: Dataset | None,
     config: TrainConfig,
     runs: int,
+    jobs: int = 1,
 ) -> tuple[CascadeModel, list[RunSummary]]:
     """Grow ``runs`` cascades from different initializations, keep the best.
 
@@ -243,33 +280,50 @@ def multi_run(
     a model, and an error inside one propagates.  Returns the model with
     minimal training error (ties: smaller model, then lower run index)
     plus one summary per run in run order.
+
+    ``jobs`` caps the processes the restarts run in.  With ``jobs == 1``,
+    a single run, or no ``fork`` start method on the platform, every
+    restart runs in this process.  Otherwise ``min(jobs, runs)`` forked
+    workers inherit the data and split, each restart sends back only its
+    summary and model, and the results are read in run order.  The model
+    and summaries are identical for every ``jobs``, which is not capped at
+    the CPU count.  A worker that dies raises ``BrokenProcessPool``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if test is not None and test.m != train.m:
         raise DataError(
             f"train and test disagree on feature count: {train.m} vs {test.m}"
         )
-    split = split_odd_even(train)
+    restart = partial(_restart, train, test, config, split_odd_even(train))
+    workers = min(jobs, runs)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Under fork the initializer's arguments reach each worker
+            # through copy-on-write memory, never pickled; only run indices
+            # go out and only (summary, model) pairs come back.
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt,
+                initargs=(restart,),
+            ) as pool:
+                return _keep_best(pool.map(_restart_in_worker, range(runs)))
+    return _keep_best(map(restart, range(runs)))
+
+
+def _keep_best(results) -> tuple[CascadeModel, list[RunSummary]]:
+    """Fold ``(summary, model)`` pairs, in run order, to the winner under
+    select_best's key: the same comparisons in the same order as min()
+    over every summary, one model held at a time."""
     summaries: list[RunSummary] = []
-    # The running winner under select_best's key: the same comparisons in
-    # the same order as min() over every summary, one model held at a time.
     best: tuple[tuple[float, int, int], CascadeModel] | None = None
-    threshold = config.classification_threshold
-    for run_index in range(runs):
-        seed = child_seed(config.seed, run_index)
-        rng = np.random.default_rng(seed)
-        model, _ = evolve(split, config, rng)
-        train_err = error_rate(model, train, threshold)
-        test_err = error_rate(model, test, threshold) if test is not None else math.nan
-        summary = RunSummary(
-            run_index=run_index,
-            seed=seed,
-            model_size=model.size,
-            train_error_pct=train_err,
-            test_error_pct=test_err,
-            selected_features=used_features(model),
-        )
+    for summary, model in results:
         summaries.append(summary)
         if best is None or _selection_key(summary) < best[0]:
             best = (_selection_key(summary), model)

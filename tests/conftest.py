@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -150,3 +153,23 @@ def cascade_builder():
 @pytest.fixture
 def model_factory():
     return random_cascade
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block, instead of hanging, if it runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 
 import numpy as np
 import pytest
-from conftest import build_cascade
+from conftest import build_cascade, deadline, no_pool
 
 from ecnn import (
     EcnnError,
@@ -22,6 +24,12 @@ from ecnn.cli import OUT_DIR_ENV, run
 
 import ecnn.cascade
 import ecnn.cli
+import ecnn.evolve
+
+USABLE_CPUS = ecnn.cli._usable_cpus()
+needs_two_cpus = pytest.mark.skipif(
+    USABLE_CPUS < 2, reason="--jobs 2 needs two usable CPUs"
+)
 
 
 def invoke(capsys, *argv):
@@ -172,6 +180,42 @@ class TestTrain:
         )
         assert code == 1
         assert "usage error" in stderr
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", str(USABLE_CPUS + 1)])
+    def test_out_of_range_jobs_is_a_usage_error_before_any_work(
+        self, tmp_path, train_csv, capsys, monkeypatch, jobs
+    ):
+        def no_load(*args):
+            raise AssertionError("the data was loaded")
+
+        monkeypatch.setattr(ecnn.cli, "load_csv", no_load)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, _, stderr = invoke(
+            capsys, "train", "--data", str(train_csv), "--label", "y",
+            "--jobs", jobs, "--out", str(tmp_path / "m.ecnn"),
+        )
+        assert code == 1
+        assert stderr.startswith("usage error: --jobs must be in [1, ")
+
+    @needs_two_cpus
+    def test_every_job_count_writes_the_same_bytes(self, tmp_path, capsys,
+                                                   monkeypatch):
+        data, _ = synth_dataset(n=300, m=6, relevant=(1, 4), noise_sigma=0.5, seed=8)
+        path = tmp_path / "data.csv"
+        write_csv(path, data)
+        out = tmp_path / "model.ecnn"
+        argv = ["train", "--data", str(path), "--label", "y", "--runs", "5",
+                "--seed", "4", "--test-fraction", "0.3", "--out", str(out)]
+        outputs = []
+        for jobs in ("1", "2"):
+            with monkeypatch.context() as patch:
+                if jobs == "1":
+                    patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+                code, stdout, _ = invoke(capsys, *argv, "--jobs", jobs)
+            assert code == 0
+            outputs.append((stdout, out.read_bytes(),
+                            out.with_name("model.runs.csv").read_bytes()))
+        assert outputs[1] == outputs[0]
 
     def test_constant_column_is_noted_on_stderr(self, tmp_path, capsys):
         data, _ = synth_dataset(n=60, m=3, relevant=(0,), noise_sigma=0.3, seed=5)
@@ -508,6 +552,25 @@ class TestExitCodes:
         )
         assert code == 3
         assert stderr.startswith("error: training went wrong")
+
+    @needs_two_cpus
+    def test_a_dead_worker_maps_to_exit_3(self, tmp_path, train_csv, capsys,
+                                          monkeypatch):
+        parent = os.getpid()
+
+        def dying_evolve(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("the restart ran in the calling process")
+
+        monkeypatch.setattr(ecnn.evolve, "evolve", dying_evolve)
+        with deadline(60):
+            code, _, stderr = invoke(
+                capsys, "train", "--data", str(train_csv), "--label", "y",
+                "--runs", "2", "--jobs", "2", "--out", str(tmp_path / "m.ecnn"),
+            )
+        assert code == 3
+        assert stderr.startswith("internal error: BrokenProcessPool")
 
     def test_version_flag_prints_and_exits(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import math
+import os
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from conftest import anchor_baseline
+from conftest import anchor_baseline, deadline, no_pool
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +34,7 @@ from ecnn import (
     forward_batch,
     multi_run,
     rng_for_run,
+    save_model,
     select_best,
     split_odd_even,
     synth_dataset,
@@ -409,6 +413,62 @@ class TestMultiRun:
         with pytest.raises(EcnnError, match="^boom$"):
             multi_run(small_dataset, None, TrainConfig(seed=33), runs=3)
 
+    def test_an_error_in_a_worker_crosses_with_its_type_and_text(
+        self, small_dataset, monkeypatch
+    ):
+        def failing_evolve(*args):
+            raise DataError("boom")
+
+        monkeypatch.setattr(ecnn.evolve, "evolve", failing_evolve)
+        with deadline(60), pytest.raises(DataError, match="^boom$"):
+            multi_run(small_dataset, None, TrainConfig(seed=33), runs=3, jobs=2)
+
+    def test_a_dead_worker_raises_instead_of_hanging(self, small_dataset, monkeypatch):
+        parent = os.getpid()
+
+        def dying_evolve(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("the restart ran in the calling process")
+
+        monkeypatch.setattr(ecnn.evolve, "evolve", dying_evolve)
+        with deadline(60), pytest.raises(BrokenProcessPool):
+            multi_run(small_dataset, None, TrainConfig(seed=33), runs=3, jobs=2)
+
+    @pytest.mark.parametrize("runs, jobs", [(1, 4), (3, 1)])
+    def test_one_worker_or_one_run_starts_no_pool(
+        self, small_dataset, monkeypatch, runs, jobs
+    ):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _, summaries = multi_run(small_dataset, None, TrainConfig(seed=33), runs, jobs)
+        assert len(summaries) == runs
+
+    @given(
+        n=st.integers(40, 200),
+        m=st.integers(2, 6),
+        runs=st.integers(1, 5),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_job_count_gives_the_same_bytes(
+        self, tmp_path_factory, n, m, runs, data_seed, seed
+    ):
+        data, _ = synth_dataset(n=n, m=m, relevant=(0, m - 1), noise_sigma=0.5,
+                                seed=data_seed)
+        config = TrainConfig(seed=seed)
+        folder = tmp_path_factory.mktemp("jobs")
+        results = []
+        for jobs in (1, 2, 3):
+            with deadline(120):
+                best, summaries = multi_run(data, data, config, runs, jobs=jobs)
+            assert not any(nr.weights.flags.writeable for nr in best.neurons)
+            path = folder / f"jobs{jobs}.ecnn"
+            save_model(path, best, config)
+            results.append((summaries, path.read_bytes()))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
     def test_empty_test_set_names_the_cause(self, small_dataset):
         empty = Dataset(np.empty((0, small_dataset.m)), np.empty(0))
         with pytest.raises(DataError, match="cannot score an empty dataset"):
@@ -472,6 +532,10 @@ class TestMultiRun:
     def test_runs_must_be_positive(self, small_dataset):
         with pytest.raises(ValueError, match=">= 1"):
             multi_run(small_dataset, None, TrainConfig(), runs=0)
+
+    def test_jobs_must_be_positive(self, small_dataset):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            multi_run(small_dataset, None, TrainConfig(), runs=2, jobs=0)
 
     def test_run_summaries_record_child_seeds(self, small_dataset):
         config = TrainConfig(seed=90)
