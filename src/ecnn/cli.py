@@ -272,7 +272,7 @@ def cmd_train(args) -> int:
     if not 0.0 <= args.test_fraction < 1.0:
         raise UsageError("--test-fraction must be in [0, 1)")
     config = _config_from_args(args)
-    data = load_csv(args.data, args.label)
+    data = load_csv(args.data, args.label, jobs=jobs)
     require_valid_dataset(data)
 
     if args.test_fraction > 0.0:
@@ -333,12 +333,13 @@ def normalize_quietly(train: Dataset):
 def cmd_predict(args) -> int:
     model, config = load_model(args.model)
     threshold = _threshold(args.threshold, config)
+    jobs = _usable_cpus()
     if args.label is not None:
-        data = load_csv(args.data, args.label)
+        data = load_csv(args.data, args.label, jobs=jobs)
         require_valid_dataset(data)
         features = data.features
     else:
-        features, _ = load_matrix_csv(args.data)
+        features, _ = load_matrix_csv(args.data, jobs=jobs)
         require_finite_features(features)
     _, outputs = forward_batch(model, features)
     text = format_scores(outputs, (outputs >= threshold).astype(int))
@@ -355,7 +356,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     model, config = load_model(args.model)
     threshold = _threshold(args.threshold, config)
-    data = load_csv(args.data, args.label)
+    data = load_csv(args.data, args.label, jobs=_usable_cpus())
     require_valid_dataset(data)
     labels = classify_batch(model, data.features, threshold)
     positives = data.targets == 1.0

@@ -2,18 +2,23 @@
 
 CSV files are UTF-8 with a header row, comma separators, and a decimal
 point; the label column is chosen by name or index.  All functions here
-are pure given their arguments (file reads aside).
+are pure given their arguments (file reads, and the forked workers that
+parse a large file, aside).
 """
 
 from __future__ import annotations
 
 import csv
+import mmap
+import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import orjson
 
+from ._pool import fork_map
 from .domain import Dataset, FeatureStats, SplitAB, require_finite_features
 from .errors import DataError
 
@@ -112,6 +117,10 @@ _SIGN_BYTES = b",\n\r-eE"
 # about 8 times the text, so small blocks keep the parse's peak near the
 # table itself; on 50000x72 the speed hardly changes from 8 KiB to 1 MiB.
 _READ_BLOCK_BYTES = 1 << 16
+# Body bytes each worker of the JSON stage gets at least.  A forked pool
+# starts in about 11 ms, and 8 MiB parses in about 85 ms, so a worker
+# costs at most about 13% of its own work; smaller files stay in-process.
+_MIN_WORKER_BYTES = 8 << 20
 # orjson takes an 8 MiB parse buffer on its first ``loads`` and keeps it for
 # the life of the process.  Taken at import, glibc still maps a block that
 # large apart from the heap.  Taken after large arrays were freed, it comes
@@ -121,11 +130,13 @@ _READ_BLOCK_BYTES = 1 << 16
 orjson.loads(b"0")
 
 
-def _line_blocks(handle):
-    """The rest of a binary ``handle`` in blocks of whole lines, each of
-    about ``_READ_BLOCK_BYTES``; only the last may lack its line end."""
+def _line_blocks(handle, size: int):
+    """The next ``size`` bytes of a binary ``handle`` in blocks of whole
+    lines, each of about ``_READ_BLOCK_BYTES``; only the last may lack its
+    line end."""
     pieces = []
-    while chunk := handle.read(_READ_BLOCK_BYTES):
+    while size > 0 and (chunk := handle.read(min(size, _READ_BLOCK_BYTES))):
+        size -= len(chunk)
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             pieces.append(chunk)
@@ -137,32 +148,63 @@ def _line_blocks(handle):
         yield tail
 
 
-def _parse_json_blocks(path) -> tuple[list[str], np.ndarray] | None:
-    """The body parsed by orjson, one block of lines at a time.
+def _line_start(handle, offset: int, end: int) -> int:
+    """The first offset at or after ``offset`` (> 0) where a line starts,
+    or ``end`` if none does before it."""
+    handle.seek(offset - 1)
+    while chunk := handle.read(_READ_BLOCK_BYTES):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return min(offset + found, end)
+        offset += len(chunk)
+    return end
 
-    A first pass counts the lines and screens the bytes; the second
-    rewrites each block as one JSON array of arrays and writes it into the
-    table sized by the first.  orjson rounds decimal text to the nearest
-    double as ``float()`` does (Clinger 1990; Lemire 2021), so every number
-    it accepts has the reference's bits.  Returns None unless the header
-    has no quotes, every body byte is a digit, one of ``eE+-.,`` or a line
-    end, the lines all end alike (CRLF or LF), each cell is a JSON number
-    (no ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, empty cell or
-    overflow to infinity) other than the integer ``-0``, and every line
-    has the header's cell count.
+
+def _line_ranges(handle, begin: int, end: int, parts: int) -> list[tuple[int, int, int, int]]:
+    """Bytes ``[begin, end)`` of ``handle`` cut at line ends into at most
+    ``parts`` ranges of about equal size, each as (start, stop, first row,
+    rows).  A range's rows are its line ends, plus one if it does not end
+    in one (only the last can)."""
+    cuts = [begin]
+    for part in range(1, parts):
+        target = begin + (end - begin) * part // parts
+        cut = _line_start(handle, max(target, cuts[-1] + 1), end)
+        if cut == end:
+            break
+        cuts.append(cut)
+    cuts.append(end)
+    ranges = []
+    first = 0
+    for start, stop in zip(cuts, cuts[1:]):
+        handle.seek(start)
+        rows, size, last = 0, stop - start, b"\n"
+        while size > 0 and (chunk := handle.read(min(size, _READ_BLOCK_BYTES))):
+            # numpy's SIMD compare counts about 3 times as fast as bytes.count.
+            rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            size -= len(chunk)
+            last = chunk[-1:]
+        rows += last != b"\n"
+        ranges.append((start, stop, first, rows))
+        first += rows
+    return ranges
+
+
+def _parse_range(path, table: np.ndarray, line_range) -> tuple[int, int, int, int] | None:
+    """Screen and parse one range of the body, block by block, into its
+    rows of ``table`` in place.
+
+    Returns the range's counts: mantissa minus signs, carriage returns,
+    CRLFs and line ends.  Returns None if a byte is outside the screen,
+    orjson refuses a block, a line has another cell count than the table
+    or the range does not hold exactly its rows.
     """
+    start, stop, first, rows = line_range
+    out = table[first:first + rows]
+    row = minus = carriage_returns = crlf = newlines = 0
     try:
         with open(path, "rb") as handle:
-            line = handle.readline().decode("utf-8")
-            if '"' in line:  # csv lets a quoted name run on past the line
-                return None
-            header = next(csv.reader([line]), None)
-            if not header:
-                return None
-            body = handle.tell()
-            newlines = minus = carriage_returns = crlf = 0
-            ends_open = False
-            for block in _line_blocks(handle):
+            handle.seek(start)
+            for block in _line_blocks(handle, stop - start):
                 signs = block.translate(None, _DIGIT_BYTES)
                 if signs.translate(None, _SIGN_BYTES):
                     return None
@@ -172,32 +214,84 @@ def _parse_json_blocks(path) -> tuple[list[str], np.ndarray] | None:
                 if b"\r" in signs:
                     carriage_returns += signs.count(b"\r")
                     crlf += block.count(b"\r\n")
-                ends_open = not block.endswith(b"\n")
-            # csv ends a row at a lone CR, which JSON reads as a space.
-            if carriage_returns and not carriage_returns == crlf == newlines:
-                return None
-            rows = newlines + ends_open
-            if not rows:
-                return None
-            values = np.empty((rows, len(header)))
-            handle.seek(body)
-            row = 0
-            for block in _line_blocks(handle):
                 text = block.replace(b"\n", b"],[")
                 end = len(text) - 3 if block.endswith(b"\n") else len(text)
                 cells = np.array(
                     orjson.loads(b"[[%b]]" % memoryview(text)[:end]), dtype=float
                 )
-                if cells.shape[1] != len(header):
+                if cells.shape[1] != out.shape[1]:
                     return None
-                values[row:row + len(cells)] = cells
+                # A row past the range's end raises, or (one row into an
+                # empty slot) fails the row count below.
+                out[row:row + len(cells)] = cells
                 row += len(cells)
-    # ValueError covers decoding, orjson's errors and ragged lines.
+    # ValueError covers orjson's errors, ragged lines and a range with
+    # more rows than counted.
+    except (OSError, ValueError):
+        return None
+    if row != rows:
+        return None
+    return minus, carriage_returns, crlf, newlines
+
+
+def _parse_json_blocks(path, jobs: int = 1) -> tuple[list[str], np.ndarray] | None:
+    """The body parsed by orjson, one block of lines at a time, on up to
+    ``jobs`` processes.
+
+    The body is cut at line ends into ``max(1, min(jobs, body bytes //
+    _MIN_WORKER_BYTES))`` ranges, and the lines of each are counted, to
+    size one ``(rows, columns)`` table.  One range is parsed in this
+    process into an ordinary array.  Several are parsed by forked workers
+    into one table in a shared anonymous ``mmap``, which the returned
+    array keeps alive; nothing is copied out of it.  Each range is
+    screened and parsed block by block by :func:`_parse_range`, and the
+    rules that span the body are applied to the sums of its counts, so the
+    table, its bits and every refusal are the same for every ``jobs``.
+
+    orjson rounds decimal text to the nearest double as ``float()`` does
+    (Clinger 1990; Lemire 2021), so every number it accepts has the
+    reference's bits.  Returns None unless the header has no quotes, every
+    body byte is a digit, one of ``eE+-.,`` or a line end, the lines all
+    end alike (CRLF or LF), each cell is a JSON number (no ``nan``,
+    ``inf``, ``.5``, ``5.``, ``+1``, ``01``, empty cell or overflow to
+    infinity) other than the integer ``-0``, and every line has the
+    header's cell count.
+    """
+    try:
+        with open(path, "rb") as handle:
+            line = handle.readline().decode("utf-8")
+            if '"' in line:  # csv lets a quoted name run on past the line
+                return None
+            header = next(csv.reader([line]), None)
+            if not header:
+                return None
+            begin = handle.tell()
+            end = os.fstat(handle.fileno()).st_size
+            parts = max(1, min(jobs, (end - begin) // _MIN_WORKER_BYTES))
+            ranges = _line_ranges(handle, begin, end, parts)
+    # ValueError covers decoding.
     except (OSError, ValueError, csv.Error):
+        return None
+    rows = sum(line_range[3] for line_range in ranges)
+    if not rows:
+        return None
+    shape = (rows, len(header))
+    if len(ranges) > 1:
+        shared = mmap.mmap(-1, rows * len(header) * np.dtype(float).itemsize)
+        values = np.frombuffer(shared, dtype=float).reshape(shape)
+    else:
+        values = np.empty(shape)
+    task = partial(_parse_range, path, values)
+    counts = list(fork_map(task, ranges, len(ranges)))
+    if None in counts:
+        return None
+    minus, carriage_returns, crlf, newlines = map(sum, zip(*counts))
+    # csv ends a row at a lone CR, which JSON reads as a space.
+    if carriage_returns and not carriage_returns == crlf == newlines:
         return None
     # A mantissa's minus sign sets its value's sign bit, except on the
     # integer -0: orjson reads it as int 0, where float("-0") is -0.0.
-    if row != rows or np.count_nonzero(np.signbit(values)) != minus:
+    if np.count_nonzero(np.signbit(values)) != minus:
         return None
     return [cell.strip() for cell in header], values
 
@@ -228,10 +322,10 @@ def _parse_columnar(path) -> tuple[list[str], np.ndarray] | None:
     return [cell.strip() for cell in header], values
 
 
-def _load_table(path, label_column) -> tuple[list[str], np.ndarray, int | None]:
+def _load_table(path, label_column, jobs) -> tuple[list[str], np.ndarray, int | None]:
     """Header names, the value matrix and the label's column index (None
     when ``label_column`` is None).  Row N in an error is the Nth data row
-    below the header.
+    below the header.  ``jobs`` caps the processes of the first stage.
 
     The fast stages are tried in order; each returns the header and the
     value matrix, or None when it cannot vouch for the file.  A file no
@@ -242,7 +336,9 @@ def _load_table(path, label_column) -> tuple[list[str], np.ndarray, int | None]:
     than the csv module's field limit (131072 characters) is parsed as a
     number, where the per-cell parse reports malformed CSV.
     """
-    for stage in (_parse_json_blocks, _parse_columnar):
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    for stage in (partial(_parse_json_blocks, jobs=jobs), _parse_columnar):
         parsed = stage(path)
         if parsed is None:
             continue
@@ -257,24 +353,34 @@ def _load_table(path, label_column) -> tuple[list[str], np.ndarray, int | None]:
     return _parse_cells(path, label_column)
 
 
-def load_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
+def load_matrix_csv(path, jobs: int = 1) -> tuple[np.ndarray, tuple[str, ...]]:
     """Parse a headed CSV where every column is a feature.
 
     Returns the value matrix and the header names.  Useful for unlabeled
-    prediction inputs.
+    prediction inputs.  ``jobs`` is as for :func:`load_csv`; the matrix of
+    a file parsed by several workers lives in a shared ``mmap`` that goes
+    when the matrix does.
     """
-    header, values, _ = _load_table(path, None)
+    header, values, _ = _load_table(path, None, jobs)
     return values, tuple(header)
 
 
-def load_csv(path, label_column) -> Dataset:
+def load_csv(path, label_column, jobs: int = 1) -> Dataset:
     """Parse a headed CSV into a Dataset, splitting off the label column.
 
     ``label_column`` is a header name or a 0-based column index.  Labels
     must parse as exactly 0 or 1; every other column becomes a feature in
     file order.
+
+    ``jobs`` caps the processes the file is parsed on.  A body of at least
+    two times ``_MIN_WORKER_BYTES`` (8 MiB) is split over up to ``jobs``
+    forked workers, one per 8 MiB at most; smaller files, ``jobs == 1`` and
+    platforms without the ``fork`` start method parse in this process.  The
+    Dataset and every error are the same for every ``jobs``, which is not
+    capped at the CPU count.  A worker that dies raises
+    ``BrokenProcessPool``.
     """
-    header, values, label_idx = _load_table(path, label_column)
+    header, values, label_idx = _load_table(path, label_column, jobs)
     # Copy the labels and drop the parsed table before Dataset copies the
     # features, so at most two feature-sized matrices are alive at once.
     targets = values[:, label_idx].copy()

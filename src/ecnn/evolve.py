@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from ._pool import fork_map
 from .cascade import error_rate, used_features
 from .data_io import split_odd_even
 from .domain import (
@@ -251,19 +252,6 @@ def _restart(
     return summary, model
 
 
-# Set once in each pool worker by the initializer; never in the caller.
-_worker_restart = None
-
-
-def _adopt(restart) -> None:
-    global _worker_restart
-    _worker_restart = restart
-
-
-def _restart_in_worker(run_index: int) -> tuple[RunSummary, CascadeModel]:
-    return _worker_restart(run_index)
-
-
 def multi_run(
     train: Dataset,
     test: Dataset | None,
@@ -297,24 +285,10 @@ def multi_run(
         raise DataError(
             f"train and test disagree on feature count: {train.m} vs {test.m}"
         )
+    # Workers inherit the data and split; only run indices go out and only
+    # (summary, model) pairs come back.
     restart = partial(_restart, train, test, config, split_odd_even(train))
-    workers = min(jobs, runs)
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Under fork the initializer's arguments reach each worker
-            # through copy-on-write memory, never pickled; only run indices
-            # go out and only (summary, model) pairs come back.
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt,
-                initargs=(restart,),
-            ) as pool:
-                return _keep_best(pool.map(_restart_in_worker, range(runs)))
-    return _keep_best(map(restart, range(runs)))
+    return _keep_best(fork_map(restart, range(runs), min(jobs, runs)))
 
 
 def _keep_best(results) -> tuple[CascadeModel, list[RunSummary]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import signal
 from contextlib import contextmanager
 
@@ -157,6 +158,20 @@ def model_factory():
 
 def no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
+
+
+def count_pools(patch):
+    """Make ``patch`` (a MonkeyPatch) record the worker count of every
+    process pool started; returns the list it records them in."""
+    started = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            started.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    patch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return started
 
 
 @contextmanager

@@ -162,6 +162,23 @@ class TestModuleNames:
         assert callable(E.evolve)
 
 
+class TestImportCost:
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # The pool modules load only when a fork pool starts.  numpy.testing,
+        # which scipy imports, already loads concurrent.futures' base.
+        script = (
+            "import sys, ecnn.cli\n"
+            "print(sorted(name for name in ('multiprocessing', "
+            "'concurrent.futures.process') if name in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        )
+        assert result.stdout == "[]\n"
+
+
 class TestTracedNames:
     def test_every_name_the_bench_tracer_wraps_is_callable(self, monkeypatch):
         # A rename or an inlined function would silently drop a traced span.

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import build_cascade, deadline, no_pool
+from conftest import build_cascade, count_pools, deadline, no_pool
 
 from ecnn import (
     EcnnError,
@@ -24,6 +24,7 @@ from ecnn.cli import OUT_DIR_ENV, run
 
 import ecnn.cascade
 import ecnn.cli
+import ecnn.data_io
 import ecnn.evolve
 
 USABLE_CPUS = ecnn.cli._usable_cpus()
@@ -439,6 +440,93 @@ class TestEval:
         )
         assert code == 2
         assert "data error" in stderr
+
+
+class TestLoaderWorkers:
+    """The CLI's CSV loads on forked workers: predict and eval pass the
+    usable CPUs, train its --jobs."""
+
+    @pytest.fixture
+    def scored_files(self, tmp_path, capsys):
+        data, _ = synth_dataset(n=400, m=6, relevant=(1, 4), noise_sigma=0.5, seed=8)
+        labeled = tmp_path / "data.csv"
+        write_csv(labeled, data)
+        unlabeled = tmp_path / "features.csv"
+        unlabeled.write_text("".join(
+            line.rsplit(",", 1)[0] + "\n"
+            for line in labeled.read_text(encoding="utf-8").splitlines()
+        ), encoding="utf-8")
+        model = tmp_path / "model.ecnn"
+        code, _, _ = invoke(
+            capsys, "train", "--data", str(labeled), "--label", "y", "--runs", "2",
+            "--jobs", "1", "--seed", "3", "--out", str(model),
+        )
+        assert code == 0
+        return model, labeled, unlabeled
+
+    @needs_two_cpus
+    def test_one_or_two_workers_give_the_same_bytes(self, tmp_path, capsys,
+                                                    monkeypatch, scored_files):
+        model, labeled, unlabeled = scored_files
+        monkeypatch.setattr(ecnn.data_io, "_MIN_WORKER_BYTES", 256)
+        started = count_pools(monkeypatch)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(ecnn.cli, "_usable_cpus", lambda: cpus)
+            got = []
+            for argv in (
+                ["predict", "--data", str(labeled), "--label", "y"],
+                ["predict", "--data", str(unlabeled)],
+                ["eval", "--data", str(labeled), "--label", "y"],
+            ):
+                scores = tmp_path / "scores.csv"
+                out = ["--out", str(scores)] if argv[0] == "predict" else []
+                code, stdout, _ = invoke(capsys, *argv, "--model", str(model), *out)
+                assert code == 0
+                got.append((stdout, scores.read_bytes() if out else None))
+                scores.unlink(missing_ok=True)
+            outputs.append(got)
+        assert started == [2, 2, 2]
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("n, m, relevant", [
+        (2857, 72, "10,23,36,60"), (40000, 8, "1,4,6"),
+    ], ids=["train-wide-input", "train-tall-input"])
+    def test_train_inputs_below_the_worker_floor_start_no_pool(
+        self, tmp_path, capsys, monkeypatch, n, m, relevant
+    ):
+        data = tmp_path / "data.csv"
+        assert invoke(capsys, "synth", "--n", str(n), "--m", str(m), "--relevant",
+                      relevant, "--seed", "1", "--out", str(data))[0] == 0
+        assert data.stat().st_size < 2 * ecnn.data_io._MIN_WORKER_BYTES
+        monkeypatch.setattr(ecnn.cli, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, _, stderr = invoke(
+            capsys, "train", "--data", str(data), "--label", "y", "--runs", "1",
+            "--jobs", "4", "--max-fit-steps", "2", "--out", str(tmp_path / "m.ecnn"),
+        )
+        assert (code, stderr) == (0, "")
+
+    def test_a_dead_worker_maps_to_exit_3(self, tmp_path, capsys, monkeypatch,
+                                          scored_files):
+        model, labeled, _ = scored_files
+        parent = os.getpid()
+
+        def dying_parse(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("a range was parsed in the calling process")
+
+        monkeypatch.setattr(ecnn.data_io, "_MIN_WORKER_BYTES", 256)
+        monkeypatch.setattr(ecnn.data_io, "_parse_range", dying_parse)
+        monkeypatch.setattr(ecnn.cli, "_usable_cpus", lambda: 2)
+        with deadline(60):
+            code, _, stderr = invoke(
+                capsys, "predict", "--model", str(model), "--data", str(labeled),
+                "--label", "y",
+            )
+        assert code == 3
+        assert stderr.startswith("internal error: BrokenProcessPool")
 
 
 class TestThresholdFlag:

@@ -23,8 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_pools, deadline
+
 from ecnn import DataError, Dataset, load_csv, load_matrix_csv, write_csv
 from ecnn.data_io import _parse_json_blocks
+
+import ecnn.data_io as data_io
 
 
 # -- reference implementations ----------------------------------------------
@@ -394,6 +398,128 @@ class TestNoStrayWarnings:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="row 1 has 1 cells, header has 3"):
                 load_csv(path, label_column="y")
+
+
+# -- the first stage split over forked workers ------------------------------
+
+# Body bytes per worker while the split is tested: cuts fall inside files
+# of a few lines, where the shipped 8 MiB would never split them.
+TINY_WORKER_BYTES = 8
+
+
+def loaded_by_jobs(path, label_column, jobs):
+    """The first stage's table and both loaders' outcomes at ``jobs``, as
+    plain data: float bits, shapes, names and error texts."""
+    parsed = data_io._parse_json_blocks(path, jobs)
+    stage = None if parsed is None else (parsed[0], bits(parsed[1]), parsed[1].shape)
+    kind, dataset = outcome(load_csv, path, label_column, jobs)
+    if kind == "ok":
+        dataset = (bits(dataset.features), dataset.features.shape,
+                   bits(dataset.targets), dataset.feature_names)
+    kind_matrix, matrix = outcome(load_matrix_csv, path, jobs)
+    if kind_matrix == "ok":
+        matrix = (bits(matrix[0]), matrix[0].shape, matrix[1])
+    return stage, (kind, dataset), (kind_matrix, matrix)
+
+
+def assert_every_job_count_loads_alike(path, label_column):
+    """jobs 1, 2 and 3 give jobs=1's table, Dataset, matrix or error.
+    Returns the worker counts of the pools that started."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_MIN_WORKER_BYTES", TINY_WORKER_BYTES)
+        started = count_pools(patch)
+        with deadline(60):
+            got = [loaded_by_jobs(path, label_column, jobs) for jobs in (1, 2, 3)]
+    assert got[1] == got[0]
+    assert got[2] == got[0]
+    return started
+
+
+class TestSplitStageMatchesOneWorker:
+    """The first stage cut into ranges for forked workers: the same bits,
+    names and refusals as one range parsed in this process."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=st.one_of(first_stage_texts(), csv_texts()),
+        label_column=st.sampled_from(["y", 0, "c0"]),
+    )
+    def test_same_bits_or_same_refusal(self, text, label_column):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert_every_job_count_loads_alike(path, label_column)
+
+    CLEAN = "1.0,2.0,1\n3.5,-4.25e-3,0\n" * 3
+
+    @pytest.mark.parametrize("body, served", [
+        (CLEAN + "nan,2.0,1\n", False),
+        (CLEAN + ".5,2.0,1\n", False),
+        (CLEAN + "1e400,2.0,1\n", False),
+        (CLEAN.replace("\n", "\r\n") + CLEAN, False),
+        (CLEAN + CLEAN.replace("\n", "\r\n"), False),
+        (CLEAN.replace("\n", "\r\n") * 2, True),
+        (CLEAN + "-0,2.0,1\n", False),
+        (CLEAN + "-0.0,2.0,1\n", True),
+        (CLEAN + "3.0,4.0,0", True),
+        (CLEAN + "3.0,4.0", False),
+        (CLEAN + "\n3.0,4.0,0\n", False),
+    ], ids=[
+        "nan-last", "bare-point-last", "overflow-last", "crlf-then-lf",
+        "lf-then-crlf", "crlf-throughout", "integer-minus-zero-last",
+        "float-minus-zero-last", "unterminated-last-line", "short-last-line",
+        "blank-line-late",
+    ])
+    @pytest.mark.parametrize("label_column", ["y", 2])
+    def test_fixed_cases(self, tmp_path, body, served, label_column):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("a,b,y\n" + body).encode("utf-8"))
+        started = assert_every_job_count_loads_alike(path, label_column)
+        # The stage, load_csv and load_matrix_csv at jobs 2, then at jobs 3.
+        assert started == [2] * 3 + [3] * 3
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_io, "_MIN_WORKER_BYTES", TINY_WORKER_BYTES)
+            assert (data_io._parse_json_blocks(path, 2) is not None) == served
+
+    def test_the_fault_lies_in_the_last_range_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("a,b,y\n" + self.CLEAN + "nan,2.0,1\n").encode("utf-8"))
+        with open(path, "rb") as handle:
+            handle.readline()
+            begin = handle.tell()
+            ranges = data_io._line_ranges(handle, begin, path.stat().st_size, 2)
+        assert len(ranges) == 2
+        text = path.read_bytes()
+        assert b"nan" not in text[ranges[0][0]:ranges[0][1]]
+        assert b"nan" in text[ranges[1][0]:ranges[1][1]]
+
+    def test_a_cut_on_a_line_end_keeps_the_line_whole(self, tmp_path):
+        line = b"1.0,2.0,1\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,y\n" + line * 4)
+        begin, end = 6, 6 + 4 * len(line)
+        with open(path, "rb") as handle:
+            # The midpoint is the start of the third line.
+            assert data_io._line_ranges(handle, begin, end, 2) == [
+                (begin, begin + 2 * len(line), 0, 2),
+                (begin + 2 * len(line), end, 2, 2),
+            ]
+            # Just past it, the cut moves on to the next line start.
+            assert data_io._line_ranges(handle, begin, end + 2, 2)[0][1] == (
+                begin + 3 * len(line)
+            )
+        assert_every_job_count_loads_alike(path, "y")
+
+    @pytest.mark.parametrize("lines", [1, 2])
+    def test_more_workers_than_lines(self, tmp_path, lines):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,y\n" + b"1.0,2.0,1\n" * (lines - 1) + b"3.0,4.0,0")
+        with open(path, "rb") as handle:
+            handle.readline()
+            ranges = data_io._line_ranges(handle, 6, path.stat().st_size, 3)
+        assert [rows for *_, rows in ranges] == [1] * lines
+        started = assert_every_job_count_loads_alike(path, "y")
+        assert started == ([] if lines == 1 else [2] * 6)
 
 
 # Doubles from arbitrary 64-bit patterns (mostly far outside [1e-3, 1e15),

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import deadline
 
 from ecnn import (
     DataError,
@@ -116,6 +122,70 @@ class TestLoadCsv:
             tracemalloc.stop()
         kept = loaded.features.nbytes + loaded.targets.nbytes
         assert peak <= 2.5 * kept
+
+
+class TestSplitLoad:
+    """``load_csv(..., jobs)`` with the first stage on forked workers."""
+
+    def test_a_dead_worker_raises_instead_of_hanging(self, tmp_path, monkeypatch):
+        path = write_text(tmp_path / "d.csv", "a,b,y\n" + "1.0,2.0,1\n" * 8)
+        parent = os.getpid()
+
+        def dying_parse(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("a range was parsed in the calling process")
+
+        monkeypatch.setattr(data_io, "_MIN_WORKER_BYTES", 8)
+        monkeypatch.setattr(data_io, "_parse_range", dying_parse)
+        with deadline(60), pytest.raises(BrokenProcessPool):
+            load_csv(path, "y", jobs=2)
+
+    @pytest.mark.parametrize("load", [
+        lambda path, jobs: load_csv(path, "y", jobs=jobs),
+        lambda path, jobs: load_matrix_csv(path, jobs=jobs),
+    ], ids=["load_csv", "load_matrix_csv"])
+    def test_jobs_must_be_positive(self, tmp_path, load):
+        path = write_text(tmp_path / "d.csv", "a,b,y\n1.0,2.0,1\n")
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            load(path, 0)
+
+    @pytest.mark.parametrize("load", [
+        "load_csv(sys.argv[1], 'y', jobs=int(sys.argv[2]))",
+        "load_matrix_csv(sys.argv[1], jobs=int(sys.argv[2]))",
+    ], ids=["load_csv", "load_matrix_csv"])
+    def test_two_workers_add_no_table_sized_memory(self, tmp_path, load):
+        # 14000 x 73 cells are about 20 MB of text, above two workers' floor.
+        # The workers write the table in place into a shared mapping; a copy
+        # out of it would add its 8 MB to load_matrix_csv's peak.
+        # tracemalloc cannot see an mmap, so each load runs in a fresh
+        # process that reports its peak RSS.  That is VmHWM, not ru_maxrss:
+        # Linux keeps in ru_maxrss the peak of the process image an exec
+        # replaced, here the test process's own.
+        data, _ = synth_dataset(n=14000, m=72, relevant=(3,), noise_sigma=0.5, seed=2)
+        path = tmp_path / "d.csv"
+        write_csv(path, data)
+        assert path.stat().st_size >= 2 * data_io._MIN_WORKER_BYTES
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("needs Linux's /proc/self/status")
+        script = (
+            "import re, sys\n"
+            "from ecnn import load_csv, load_matrix_csv\n"
+            f"{load}\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        peak_kb = {
+            jobs: int(subprocess.run(
+                [sys.executable, "-c", script, str(path), str(jobs)], env=env,
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout)
+            for jobs in (1, 2)
+        }
+        assert peak_kb[2] <= peak_kb[1] + 5 * 1024
 
 
 def refuse(path, *args):
