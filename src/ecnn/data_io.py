@@ -110,9 +110,10 @@ def _parse_cells(path, label_column) -> tuple[list[str], np.ndarray, int | None]
 
 
 # Bytes a body may hold for the JSON stage: the number bytes it deletes
-# first, then the separators and signs it counts.
+# first, then the separators, signs and blanks it counts or passes.  Space
+# and tab are JSON whitespace, and float() strips both from a cell.
 _DIGIT_BYTES = b"0123456789.+"
-_SIGN_BYTES = b",\n\r-eE"
+_SIGN_BYTES = b",\n\r-eE \t"
 # Body text parsed at once by the JSON stage.  Its Python objects take
 # about 8 times the text, so small blocks keep the parse's peak near the
 # table itself; on 50000x72 the speed hardly changes from 8 KiB to 1 MiB.
@@ -250,20 +251,21 @@ def _parse_json_blocks(path, jobs: int = 1) -> tuple[list[str], np.ndarray] | No
 
     orjson rounds decimal text to the nearest double as ``float()`` does
     (Clinger 1990; Lemire 2021), so every number it accepts has the
-    reference's bits.  Returns None unless the header has no quotes, every
-    body byte is a digit, one of ``eE+-.,`` or a line end, the lines all
-    end alike (CRLF or LF), each cell is a JSON number (no ``nan``,
-    ``inf``, ``.5``, ``5.``, ``+1``, ``01``, empty cell or overflow to
-    infinity) other than the integer ``-0``, and every line has the
-    header's cell count.
+    reference's bits.  The header line is read by ``csv`` on its own, so
+    quoted names are taken.  Returns None unless every quoted name closes
+    on the header line, every body byte is a digit, one of ``eE+-.,``, a
+    space, a tab or a line end, the lines all end alike (CRLF or LF), each
+    cell is a JSON number with optional spaces and tabs around it (no
+    ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, ``1 2``, empty or
+    blank cell, or overflow to infinity) other than the integer ``-0``,
+    and every line has the header's cell count.
     """
     try:
         with open(path, "rb") as handle:
-            line = handle.readline().decode("utf-8")
-            if '"' in line:  # csv lets a quoted name run on past the line
-                return None
-            header = next(csv.reader([line]), None)
-            if not header:
+            header = next(csv.reader([handle.readline().decode("utf-8")]), None)
+            # A last cell holding the line end is a quoted name that runs
+            # on past the line, where the whole-file csv reader would go on.
+            if not header or "\n" in header[-1]:
                 return None
             begin = handle.tell()
             end = os.fstat(handle.fileno()).st_size
@@ -296,52 +298,23 @@ def _parse_json_blocks(path, jobs: int = 1) -> tuple[list[str], np.ndarray] | No
     return [cell.strip() for cell in header], values
 
 
-def _parse_columnar(path) -> tuple[list[str], np.ndarray] | None:
-    """The header via ``csv`` and the body parsed in C by ``np.loadtxt``.
-
-    Returns None whenever the result might differ from :func:`_parse_cells`:
-    numpy refused a cell (quoted cells, ``1_0``, non-ASCII digits, ragged or
-    whitespace-only lines) or the table does not match the header.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            header = next((row for row in csv.reader(handle) if row), None)
-            if header is None:
-                return None
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                values = np.loadtxt(
-                    handle, delimiter=",", comments=None, ndmin=2, dtype=float
-                )
-    except (OSError, ValueError, csv.Error):  # ValueError covers decoding
-        return None
-    if values.shape[0] == 0 or values.shape[1] != len(header):
-        return None
-    return [cell.strip() for cell in header], values
-
-
 def _load_table(path, label_column, jobs) -> tuple[list[str], np.ndarray, int | None]:
     """Header names, the value matrix and the label's column index (None
     when ``label_column`` is None).  Row N in an error is the Nth data row
-    below the header.  ``jobs`` caps the processes of the first stage.
+    below the header.  ``jobs`` caps the processes of the orjson stage.
 
-    The fast stages are tried in order; each returns the header and the
-    value matrix, or None when it cannot vouch for the file.  A file no
-    fast stage vouches for, or whose labels are not all 0 or 1, is parsed
-    again cell by cell by :func:`_parse_cells`, which loads it or raises
-    its exact error.  The fast stages read every file they accept with the
+    :func:`_parse_json_blocks` serves the file when it can vouch for it.
+    A file it refuses, or whose labels are not all 0 or 1, is parsed again
+    cell by cell by :func:`_parse_cells`, which loads it or raises its
+    exact error.  The orjson stage reads every file it accepts with the
     reference's bits, with one known exception: an unquoted cell longer
     than the csv module's field limit (131072 characters) is parsed as a
     number, where the per-cell parse reports malformed CSV.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    for stage in (partial(_parse_json_blocks, jobs=jobs), _parse_columnar):
-        parsed = stage(path)
-        if parsed is None:
-            continue
+    parsed = _parse_json_blocks(path, jobs)
+    if parsed is not None:
         header, values = parsed
         if label_column is None:
             return header, values, None
@@ -349,7 +322,6 @@ def _load_table(path, label_column, jobs) -> tuple[list[str], np.ndarray, int | 
         labels = values[:, label_idx]
         if np.all((labels == 0.0) | (labels == 1.0)):
             return header, values, label_idx
-        break  # the next fast stage would read the same labels
     return _parse_cells(path, label_column)
 
 
@@ -372,12 +344,13 @@ def load_csv(path, label_column, jobs: int = 1) -> Dataset:
     must parse as exactly 0 or 1; every other column becomes a feature in
     file order.
 
-    ``jobs`` caps the processes the file is parsed on.  A body of at least
-    two times ``_MIN_WORKER_BYTES`` (8 MiB) is split over up to ``jobs``
-    forked workers, one per 8 MiB at most; smaller files, ``jobs == 1`` and
-    platforms without the ``fork`` start method parse in this process.  The
-    Dataset and every error are the same for every ``jobs``, which is not
-    capped at the CPU count.  A worker that dies raises
+    ``jobs`` caps the processes the file is parsed on.  A body the orjson
+    stage can read and of at least two times ``_MIN_WORKER_BYTES`` (8 MiB)
+    is split over up to ``jobs`` forked workers, one per 8 MiB at most;
+    smaller files, ``jobs == 1`` and every platform but Linux parse in this
+    process.  A file that stage refuses is parsed cell by cell in this
+    process.  The Dataset and every error are the same for every ``jobs``,
+    which is not capped at the CPU count.  A worker that dies raises
     ``BrokenProcessPool``.
     """
     header, values, label_idx = _load_table(path, label_column, jobs)

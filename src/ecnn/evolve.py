@@ -270,12 +270,12 @@ def multi_run(
     plus one summary per run in run order.
 
     ``jobs`` caps the processes the restarts run in.  With ``jobs == 1``,
-    a single run, or no ``fork`` start method on the platform, every
-    restart runs in this process.  Otherwise ``min(jobs, runs)`` forked
-    workers inherit the data and split, each restart sends back only its
-    summary and model, and the results are read in run order.  The model
-    and summaries are identical for every ``jobs``, which is not capped at
-    the CPU count.  A worker that dies raises ``BrokenProcessPool``.
+    a single run, or on any platform but Linux, every restart runs in this
+    process.  Otherwise ``min(jobs, runs)`` forked workers inherit the
+    data and split, each restart sends back only its summary and model,
+    and the results are read in run order.  The model and summaries are
+    identical for every ``jobs``, which is not capped at the CPU count.  A
+    worker that dies raises ``BrokenProcessPool``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")

@@ -160,6 +160,10 @@ def no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
 
 
+def no_cell_parse(path, *args):
+    raise AssertionError(f"the per-cell parse was asked to read {path}")
+
+
 def count_pools(patch):
     """Make ``patch`` (a MonkeyPatch) record the worker count of every
     process pool started; returns the list it records them in."""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import deadline
+from conftest import count_pools, deadline, no_cell_parse
 
 from ecnn import (
     DataError,
@@ -141,6 +141,18 @@ class TestSplitLoad:
         with deadline(60), pytest.raises(BrokenProcessPool):
             load_csv(path, "y", jobs=2)
 
+    def test_no_pool_outside_linux(self, tmp_path, monkeypatch):
+        path = write_text(tmp_path / "d.csv", "a,b,y\n" + "1.0,-2.5e-3,1\n3,4,0\n" * 8)
+        monkeypatch.setattr(data_io, "_MIN_WORKER_BYTES", 8)
+        one = load_csv(path, "y", jobs=1)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        started = count_pools(monkeypatch)
+        two = load_csv(path, "y", jobs=2)
+        assert started == []
+        assert two.features.tobytes() == one.features.tobytes()
+        assert two.targets.tobytes() == one.targets.tobytes()
+        assert two.feature_names == one.feature_names
+
     @pytest.mark.parametrize("load", [
         lambda path, jobs: load_csv(path, "y", jobs=jobs),
         lambda path, jobs: load_matrix_csv(path, jobs=jobs),
@@ -188,19 +200,24 @@ class TestSplitLoad:
         assert peak_kb[2] <= peak_kb[1] + 5 * 1024
 
 
-def refuse(path, *args):
-    raise AssertionError(f"a slower parse stage was asked to read {path}")
+def quote_names(text):
+    """A CSV text with every header name quoted, as R's ``write.csv(...,
+    row.names = FALSE)`` writes it; the numbers stay bare."""
+    header, body = text.split(b"\n", 1)
+    return b",".join(b'"%b"' % name for name in header.split(b",")) + b"\n" + body
 
 
 class TestParseStages:
-    """Which stage of ``_load_table`` serves a file: bench and CLI inputs
-    must stay on the first (orjson) stage."""
+    """Which parse of ``_load_table`` serves a file: bench and CLI inputs
+    must stay on the first (orjson) stage, ahead of the per-cell parse."""
 
     @pytest.mark.parametrize("rewrite", [
         lambda text: text,
         lambda text: text.rstrip(b"\n"),
         lambda text: text.replace(b"\n", b"\r\n"),
-    ], ids=["as-written", "no-final-line-end", "crlf"])
+        quote_names,
+        lambda text: text.replace(b",", b", \t").replace(b"\n", b" \n"),
+    ], ids=["as-written", "no-final-line-end", "crlf", "quoted-header", "padded-cells"])
     def test_written_files_are_served_by_the_first_stage(
         self, tmp_path, monkeypatch, rewrite
     ):
@@ -211,8 +228,7 @@ class TestParseStages:
         path = tmp_path / "d.csv"
         write_csv(path, data)
         path.write_bytes(rewrite(path.read_bytes()))
-        monkeypatch.setattr(data_io, "_parse_columnar", refuse)
-        monkeypatch.setattr(data_io, "_parse_cells", refuse)
+        monkeypatch.setattr(data_io, "_parse_cells", no_cell_parse)
         loaded = load_csv(path, label_column="y")
         assert loaded.features.view(np.uint64).tolist() == data.features.view(np.uint64).tolist()
         assert loaded.targets.tolist() == data.targets.tolist()
@@ -227,8 +243,7 @@ class TestParseStages:
             "--out", str(path),
         ]) == 0
         data, _ = synth_dataset(n=2000, m=9, relevant=(1, 4), noise_sigma=0.5, seed=5)
-        monkeypatch.setattr(data_io, "_parse_columnar", refuse)
-        monkeypatch.setattr(data_io, "_parse_cells", refuse)
+        monkeypatch.setattr(data_io, "_parse_cells", no_cell_parse)
         loaded = load_csv(path, label_column="y")
         assert loaded.features.view(np.uint64).tolist() == data.features.view(np.uint64).tolist()
         assert loaded.targets.tolist() == data.targets.tolist()
@@ -243,13 +258,13 @@ class TestParseStages:
     ):
         path = write_text(tmp_path / "d.csv", "a,b,y\n" + body)
         calls = []
-        columnar = data_io._parse_columnar
+        cells = data_io._parse_cells
 
-        def spy(path):
+        def spy(path, label_column):
             calls.append(path)
-            return columnar(path)
+            return cells(path, label_column)
 
-        monkeypatch.setattr(data_io, "_parse_columnar", spy)
+        monkeypatch.setattr(data_io, "_parse_cells", spy)
         assert data_io._parse_json_blocks(path) is None
         loaded = load_csv(path, label_column="y")
         assert calls == [path]

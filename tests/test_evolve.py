@@ -6,12 +6,13 @@ import concurrent.futures
 import gc
 import math
 import os
+import sys
 import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from conftest import anchor_baseline, deadline, no_pool
+from conftest import anchor_baseline, count_pools, deadline, no_pool
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -442,6 +443,19 @@ class TestMultiRun:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         _, summaries = multi_run(small_dataset, None, TrainConfig(seed=33), runs, jobs)
         assert len(summaries) == runs
+
+    def test_no_pool_outside_linux(self, small_dataset, tmp_path):
+        config = TrainConfig(seed=33)
+        one = multi_run(small_dataset, small_dataset, config, runs=3, jobs=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "platform", "darwin")
+            started = count_pools(patch)
+            two = multi_run(small_dataset, small_dataset, config, runs=3, jobs=2)
+        assert started == []
+        assert two[1] == one[1]
+        for name, (best, _) in (("one", one), ("two", two)):
+            save_model(tmp_path / f"{name}.ecnn", best, config)
+        assert (tmp_path / "two.ecnn").read_bytes() == (tmp_path / "one.ecnn").read_bytes()
 
     @given(
         n=st.integers(40, 200),
