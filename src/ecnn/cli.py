@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--threshold", type=float, default=defaults.classification_threshold,
+        dest="classification_threshold", metavar="THRESHOLD",
         help="sigmoid output at or above which an example is labeled 1",
     )
     parser.add_argument(
@@ -192,22 +193,14 @@ def _out_path(flag_value, default_name: str) -> Path:
         path = Path(flag_value)
     else:
         path = Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name
-    if path.parent:
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _config_from_args(args) -> TrainConfig:
     try:
         return TrainConfig(
-            chi=args.chi,
-            delta=args.delta,
-            max_fit_steps=args.max_fit_steps,
-            max_layers=args.max_layers,
-            seed=args.seed,
-            init_sigma=args.init_sigma,
-            classification_threshold=args.threshold,
-            advance_on_accept=args.advance_on_accept,
+            **{field.name: getattr(args, field.name) for field in fields(TrainConfig)}
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -161,6 +161,21 @@ def _line_start(handle, offset: int, end: int) -> int:
     return end
 
 
+def _body_end(handle, begin: int, end: int) -> int:
+    """Where the body ``[begin, end)`` of ``handle`` ends without the blank
+    lines that close it, which csv skips: past the last line's own line
+    end, or ``begin`` if the body holds only line ends.  Only its last
+    ``_READ_BLOCK_BYTES`` are read, so a longer run of blank lines stays."""
+    start = max(begin, end - _READ_BLOCK_BYTES)
+    handle.seek(start)
+    tail = handle.read(end - start)
+    last = len(tail.rstrip(b"\r\n"))
+    if not last:
+        return begin if start == begin else end
+    line_end = 2 if tail.startswith(b"\r\n", last) else min(1, len(tail) - last)
+    return start + last + line_end
+
+
 def _line_ranges(handle, begin: int, end: int, parts: int) -> list[tuple[int, int, int, int]]:
     """Bytes ``[begin, end)`` of ``handle`` cut at line ends into at most
     ``parts`` ranges of about equal size, each as (start, stop, first row,
@@ -239,15 +254,16 @@ def _parse_json_blocks(path, jobs: int = 1) -> tuple[list[str], np.ndarray] | No
     """The body parsed by orjson, one block of lines at a time, on up to
     ``jobs`` processes.
 
-    The body is cut at line ends into ``max(1, min(jobs, body bytes //
-    _MIN_WORKER_BYTES))`` ranges, and the lines of each are counted, to
-    size one ``(rows, columns)`` table.  One range is parsed in this
-    process into an ordinary array.  Several are parsed by forked workers
-    into one table in a shared anonymous ``mmap``, which the returned
-    array keeps alive; nothing is copied out of it.  Each range is
-    screened and parsed block by block by :func:`_parse_range`, and the
-    rules that span the body are applied to the sums of its counts, so the
-    table, its bits and every refusal are the same for every ``jobs``.
+    Blank lines that close the body are left out, as :func:`_body_end`
+    finds them.  The rest is cut at line ends into ``max(1, min(jobs,
+    body bytes // _MIN_WORKER_BYTES))`` ranges, and the lines of each are
+    counted, to size one ``(rows, columns)`` table.  One range is parsed
+    in this process into an ordinary array.  Several are parsed by forked
+    workers into one table in a shared anonymous ``mmap``, which the
+    returned array keeps alive; nothing is copied out of it.  Each range
+    is screened and parsed block by block by :func:`_parse_range`, and the
+    rules that span the body are applied to the sums of its counts, so
+    the table, its bits and every refusal are the same for every ``jobs``.
 
     orjson rounds decimal text to the nearest double as ``float()`` does
     (Clinger 1990; Lemire 2021), so every number it accepts has the
@@ -258,7 +274,8 @@ def _parse_json_blocks(path, jobs: int = 1) -> tuple[list[str], np.ndarray] | No
     cell is a JSON number with optional spaces and tabs around it (no
     ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, ``1 2``, empty or
     blank cell, or overflow to infinity) other than the integer ``-0``,
-    and every line has the header's cell count.
+    and every line has the header's cell count, so a blank line inside
+    the body is refused.
     """
     try:
         with open(path, "rb") as handle:
@@ -268,7 +285,7 @@ def _parse_json_blocks(path, jobs: int = 1) -> tuple[list[str], np.ndarray] | No
             if not header or "\n" in header[-1]:
                 return None
             begin = handle.tell()
-            end = os.fstat(handle.fileno()).st_size
+            end = _body_end(handle, begin, os.fstat(handle.fileno()).st_size)
             parts = max(1, min(jobs, (end - begin) // _MIN_WORKER_BYTES))
             ranges = _line_ranges(handle, begin, end, parts)
     # ValueError covers decoding.
@@ -303,13 +320,15 @@ def _load_table(path, label_column, jobs) -> tuple[list[str], np.ndarray, int | 
     when ``label_column`` is None).  Row N in an error is the Nth data row
     below the header.  ``jobs`` caps the processes of the orjson stage.
 
-    :func:`_parse_json_blocks` serves the file when it can vouch for it.
-    A file it refuses, or whose labels are not all 0 or 1, is parsed again
-    cell by cell by :func:`_parse_cells`, which loads it or raises its
-    exact error.  The orjson stage reads every file it accepts with the
-    reference's bits, with one known exception: an unquoted cell longer
-    than the csv module's field limit (131072 characters) is parsed as a
-    number, where the per-cell parse reports malformed CSV.
+    :func:`_parse_json_blocks` serves the file when it can vouch for it,
+    blank lines at its end included.  A file it refuses, such as one with
+    a blank line inside the body or a ``.5``, ``+1``, ``-0`` or ``nan``
+    cell, or whose labels are not all 0 or 1, is parsed again cell by cell
+    by :func:`_parse_cells`, which loads it or raises its exact error.
+    The orjson stage reads every file it accepts with the reference's
+    bits, with one known exception: an unquoted cell longer than the csv
+    module's field limit (131072 characters) is parsed as a number, where
+    the per-cell parse reports malformed CSV.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

@@ -419,17 +419,9 @@ class CascadeModel:
             return len(self.feature_names)
         return max(c for nr in self.neurons for c in nr.feature_columns()) + 1
 
-    def with_normalization(
-        self,
-        stats: FeatureStats | None,
-        feature_names: tuple[str, ...] | None = None,
-    ) -> "CascadeModel":
-        """Copy of this model with normalization (and optionally names) attached."""
-        return replace(
-            self,
-            normalization_stats=stats,
-            feature_names=self.feature_names if feature_names is None else feature_names,
-        )
+    def with_normalization(self, stats: FeatureStats | None) -> "CascadeModel":
+        """Copy of this model with ``stats`` as its normalization."""
+        return replace(self, normalization_stats=stats)
 
 
 @dataclass(frozen=True)
@@ -478,15 +470,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class FitnessRecord:
-    """Criterion value of the single-input neuron built on one feature."""
+    """Criterion value of the single-input neuron built on one feature.
+
+    Built only by the feature ranking, from an in-range column and a fit's
+    criterion, which the fit already holds finite and >= 0.
+    """
 
     feature: int
     score: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "feature", int(self.feature))
-        object.__setattr__(self, "score", float(self.score))
-        if self.feature < 0:
-            raise ValueError("feature must be a column index")
-        if math.isnan(self.score) or self.score < 0.0:
-            raise ValueError("score must be >= 0")

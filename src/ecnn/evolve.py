@@ -93,11 +93,6 @@ class EvolveTrace:
     rejected: tuple[RejectedRecord, ...]
     stop_reason: str
 
-    @property
-    def degenerate(self) -> bool:
-        """True when nothing was accepted and the model is the anchor alone."""
-        return not self.accepted
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -153,7 +148,7 @@ def evolve(
     feature one layer deeper unless ``config.advance_on_accept`` is set.
     Growth stops when the ranked list is exhausted or the cascade reaches
     ``config.max_layers``.  If nothing is ever accepted, the result is the
-    anchor's single-input neuron alone, flagged degenerate in the trace.
+    anchor's single-input neuron alone, and ``trace.accepted`` is empty.
     """
     ranked, anchor_fit = _rank(split, config, rng)
     anchor = ranked[0].feature

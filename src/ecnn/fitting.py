@@ -38,12 +38,10 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return p.clip(SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP, out=p)
 
 
-def sigmoid(x):
-    """Logistic function clamped to [SIGMOID_CLAMP, 1 - SIGMOID_CLAMP]."""
-    p = expit(x)
-    if isinstance(p, np.ndarray):
-        return _clamp(p)
-    return np.clip(p, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, clamped to [SIGMOID_CLAMP,
+    1 - SIGMOID_CLAMP]; a scalar is passed as a 1-element array."""
+    return _clamp(expit(x))
 
 
 def design_matrix(features, wiring, prior_outputs) -> np.ndarray:
@@ -124,19 +122,17 @@ def init_weights(p_plus_bias: int, sigma: float, rng: np.random.Generator) -> np
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of fitting one neuron.
+    """Outcome of fitting one neuron: its weights and its validation trace.
 
-    ``eb_trace`` records the validation error at every iterate visited,
-    so ``criterion`` is always its last entry and ``steps_taken`` its
-    length.  When fitting stops because the validation error went UP,
-    ``weights`` are the better previous iterate while ``criterion`` keeps
-    the last measured (worse) value; the criterion is what acceptance
-    decisions consume, so it must never understate the error.
+    ``eb_trace`` records the validation error at every iterate visited;
+    ``criterion`` is its last entry and ``steps_taken`` its length.  When
+    fitting stops because the validation error went UP, ``weights`` are
+    the better previous iterate while ``criterion`` keeps the last
+    measured (worse) value; the criterion is what acceptance decisions
+    consume, so it must never understate the error.
     """
 
     weights: np.ndarray
-    criterion: float
-    steps_taken: int
     eb_trace: np.ndarray
 
     def __post_init__(self):
@@ -146,16 +142,22 @@ class FitResult:
         trace.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "eb_trace", trace)
-        object.__setattr__(self, "criterion", float(self.criterion))
-        object.__setattr__(self, "steps_taken", int(self.steps_taken))
         if w.ndim != 1 or not np.all(np.isfinite(w)):
             raise ValueError("weights must be a finite vector")
-        if trace.ndim != 1 or len(trace) != self.steps_taken or self.steps_taken < 1:
-            raise ValueError("eb_trace must hold one entry per step taken")
+        if trace.ndim != 1 or len(trace) < 1:
+            raise ValueError("eb_trace must hold at least one entry")
         if not np.all(np.isfinite(trace)) or np.any(trace < 0):
             raise ValueError("validation errors must be finite and >= 0")
-        if self.criterion != trace[-1]:
-            raise ValueError("criterion must equal the last trace entry")
+
+    @property
+    def criterion(self) -> float:
+        """The last validation error measured."""
+        return float(self.eb_trace[-1])
+
+    @property
+    def steps_taken(self) -> int:
+        """Iterates visited, the initial weights included."""
+        return len(self.eb_trace)
 
 
 def fit_neuron_from_init(
@@ -196,12 +198,12 @@ def fit_neuron_from_init(
         trace.append(eb)
         if k >= 2 and prev_eb - eb < config.delta:
             final = w_prev if eb > prev_eb else w_cur
-            return FitResult(final, eb, k, np.asarray(trace))
+            return FitResult(final, trace)
         if k < last:
             _residuals_into(residuals_a, w_cur, U_A, y_a)
             w_prev, prev_eb = w_cur, eb
             w_cur = _project(w_cur, U_A, residuals_a, scale)
-    return FitResult(w_cur, trace[-1], len(trace), np.asarray(trace))
+    return FitResult(w_cur, trace)
 
 
 def fit_neuron(

@@ -9,6 +9,7 @@ evaluates bit-identically to the saved one.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .domain import (
     CascadeModel,
@@ -31,16 +32,7 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_CONFIG_FIELDS = (
-    "chi",
-    "delta",
-    "max_fit_steps",
-    "max_layers",
-    "seed",
-    "init_sigma",
-    "classification_threshold",
-    "advance_on_accept",
-)
+_CONFIG_FIELDS = tuple(field.name for field in fields(TrainConfig))
 
 
 def dump_canonical_json(payload) -> str:

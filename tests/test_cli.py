@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 
@@ -16,11 +18,12 @@ from ecnn import (
     TrainConfig,
     forward_batch,
     load_model,
+    model_to_payload,
     save_model,
     synth_dataset,
     write_csv,
 )
-from ecnn.cli import OUT_DIR_ENV, run
+from ecnn.cli import OUT_DIR_ENV, build_parser, run
 
 import ecnn.cascade
 import ecnn.cli
@@ -103,7 +106,27 @@ class TestSynth:
         assert (tmp_path / "routed" / "synth.truth.json").exists()
 
 
+def train_parser():
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return commands.choices["train"]
+
+
 class TestTrain:
+    def test_every_config_field_is_one_flag_and_a_model_file_key(self, saved_model):
+        dests = [action.dest for action in train_parser()._actions]
+        saved_keys = model_to_payload(*load_model(saved_model))["config"].keys()
+        for field in dataclasses.fields(TrainConfig):
+            assert dests.count(field.name) == 1, field.name
+            assert field.name in saved_keys
+
+    def test_help_names_the_threshold_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["train", "--help"])
+        assert "--threshold THRESHOLD" in capsys.readouterr().out
+
     def test_missing_data_flag_is_a_usage_error(self, capsys):
         code, _, stderr = invoke(capsys, "train", "--label", "y")
         assert code == 1

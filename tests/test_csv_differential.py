@@ -312,7 +312,8 @@ NAME_QUOTES = st.sampled_from(["", '"'])
 def first_stage_texts(draw):
     """A headed CSV whose body holds JSON numbers only, each maybe padded
     with spaces and tabs, under names that may be quoted, with one line
-    end throughout: the files the first parse stage serves."""
+    end throughout and up to two blank lines at the end: the files the
+    first parse stage serves."""
     width = draw(st.integers(1, 4))
     names = [f"c{j}" for j in range(width - 1)] + ["y"]
     lines = [",".join(f"{quote}{name}{quote}" for name, quote in zip(
@@ -325,7 +326,10 @@ def first_stage_texts(draw):
             draw(FIRST_STAGE_PADDING) + cell + draw(FIRST_STAGE_PADDING) for cell in cells
         ))
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + draw(st.sampled_from([end, ""]))
+    tail = draw(st.sampled_from([end, ""]))
+    if tail:
+        tail += end * draw(st.integers(0, 2))
+    return end.join(lines) + tail
 
 
 class TestFirstStageMatchesTheReference:
@@ -353,7 +357,11 @@ class TestFirstStageMatchesTheReference:
         "1.0,2.0,1\r \n",
         '"1.0",2.0,1\n',
         "1.0,2.0,1\n\n3.0,4.0,0\n",
+        "1.0,2.0,1\n\n3.0,4.0,0\n\n",
+        "\n\n",
+        "\r\n\r\n",
         "1.0,2.0,1\r\n3.0,4.0,0\n",
+        "1.0,2.0,1\r\n3.0,4.0,0\n\n",
         "1.0,2.0,1\n3.0,4.0,0\r\n",
         "1.0,2.0,1\r3.0,4.0,0\r",
         "1.0,\r2.0,1\n",
@@ -378,7 +386,14 @@ class TestFirstStageMatchesTheReference:
         "a,b,y\n\t1.0,2.0\t, 1 \r\n-3.0 ,  4.0,0\r\n",
         '"x0","x1","y"\n1.5,-2,1\n3,4e-3,0\n',
         '"a"" q", b ,y\n1.0,2.0,1\n',
-    ], ids=["space-before", "space-after", "tabs-and-crlf", "r-style", "escaped-quote"])
+        "a,b,y\n1.0,2.0,1\n3.0,4.0,0\n\n",
+        "a,b,y\r\n1.0,2.0,1\r\n3.0,4.0,0\r\n\r\n",
+        "a,b,y\n1.0,2.0,1\n3.0,4.0,0\n\r\n",
+        "a,b,y\n1.0,2.0,1\n3.0,4.0,0\n\n\n",
+    ], ids=[
+        "space-before", "space-after", "tabs-and-crlf", "r-style", "escaped-quote",
+        "blank-lf-end", "blank-crlf-end", "blank-crlf-after-lf", "two-blank-lf-end",
+    ])
     @pytest.mark.parametrize("label_column", ["y", 2])
     def test_forms_the_first_stage_serves(self, tmp_path, monkeypatch, text, label_column):
         path = tmp_path / "d.csv"
@@ -386,6 +401,16 @@ class TestFirstStageMatchesTheReference:
         assert _parse_json_blocks(path) is not None
         monkeypatch.setattr(data_io, "_parse_cells", no_cell_parse)
         assert_loaders_match(path, label_column)
+
+    @pytest.mark.parametrize("blank_lines, served", [
+        (1, True), (data_io._READ_BLOCK_BYTES, False),
+    ])
+    def test_blank_lines_closing_a_long_body(self, tmp_path, blank_lines, served):
+        # Only the body's last block is searched for them.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,y\n" + b"1.0,2.0,1\n" * 8000 + b"\n" * blank_lines)
+        assert (_parse_json_blocks(path) is not None) == served
+        assert_loaders_match(path, "y")
 
     @pytest.mark.parametrize("text", [
         'a"b,"c,y\n1.0,2.0,1\n',
@@ -508,11 +533,12 @@ class TestSplitStageMatchesOneWorker:
         (CLEAN + "3.0,4.0,0", True),
         (CLEAN + "3.0,4.0", False),
         (CLEAN + "\n3.0,4.0,0\n", False),
+        (CLEAN + "\n\n", True),
     ], ids=[
         "nan-last", "bare-point-last", "overflow-last", "crlf-then-lf",
         "lf-then-crlf", "crlf-throughout", "integer-minus-zero-last",
         "float-minus-zero-last", "unterminated-last-line", "short-last-line",
-        "blank-line-late",
+        "blank-line-late", "blank-lines-at-the-end",
     ])
     @pytest.mark.parametrize("label_column", ["y", 2])
     def test_fixed_cases(self, tmp_path, body, served, label_column):

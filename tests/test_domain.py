@@ -18,7 +18,6 @@ from ecnn import (
     Dataset,
     Feature,
     FeatureStats,
-    FitnessRecord,
     NeuronSpec,
     PrevNeuron,
     SplitAB,
@@ -317,9 +316,9 @@ class TestCascadeModel:
             _two_layer_model(normalization_stats=stats, feature_names=("a", "b", "c"))
 
     def test_with_normalization_returns_updated_copy(self):
-        base = _two_layer_model()
+        base = _two_layer_model(feature_names=("a", "b", "c"))
         stats = FeatureStats(np.zeros(3), np.ones(3))
-        stamped = base.with_normalization(stats, feature_names=("a", "b", "c"))
+        stamped = base.with_normalization(stats)
         assert stamped.normalization_stats is stats
         assert stamped.feature_names == ("a", "b", "c")
         assert base.normalization_stats is None
@@ -436,20 +435,3 @@ class TestFeatureStats:
     def test_statistics_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
             FeatureStats(mean=[np.nan], std=[1.0])
-
-
-class TestFitnessRecord:
-    def test_infinite_score_marks_failed_fit(self):
-        assert math.isinf(FitnessRecord(3, math.inf).score)
-
-    def test_nan_score_is_rejected(self):
-        with pytest.raises(ValueError):
-            FitnessRecord(0, math.nan)
-
-    def test_negative_score_is_rejected(self):
-        with pytest.raises(ValueError):
-            FitnessRecord(0, -0.1)
-
-    def test_negative_feature_is_rejected(self):
-        with pytest.raises(ValueError):
-            FitnessRecord(-1, 0.5)

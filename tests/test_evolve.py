@@ -17,13 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecnn import (
-    AcceptedRecord,
     DataError,
     Dataset,
     EcnnError,
-    EvolveTrace,
     Feature,
-    FitnessRecord,
     NeuronSpec,
     PrevNeuron,
     RunSummary,
@@ -171,14 +168,6 @@ def growth_problems(draw):
     return split_odd_even(data), config
 
 
-class TestEvolveTraceTypes:
-    def test_degenerate_trace_cannot_hold_acceptances(self):
-        ranked = (FitnessRecord(0, 1.0), FitnessRecord(1, 2.0))
-        accepted = (AcceptedRecord(1, 1, 0.5),)
-        assert not EvolveTrace(ranked, accepted, (), STOP_FEATURES_EXHAUSTED).degenerate
-        assert EvolveTrace(ranked, (), (), STOP_FEATURES_EXHAUSTED).degenerate
-
-
 class TestGrowthInvariants:
     @given(problem=growth_problems())
     @settings(max_examples=60, deadline=None)
@@ -200,7 +189,7 @@ class TestGrowthInvariants:
         positions = [record.position for record in trace.rejected]
         assert all(position >= 2 for position in positions)
         assert positions == sorted(positions)
-        assert trace.degenerate == (not trace.accepted)
+        assert (model.neurons[0].p == 1) == (not trace.accepted)
 
 
 class TestEvolve:
@@ -218,7 +207,6 @@ class TestEvolve:
         split = split_odd_even(noise_dataset())
         config = TrainConfig(delta=10.0, seed=2)
         model, trace = evolve(split, config, rng_for_run(2, 0))
-        assert trace.degenerate
         assert trace.accepted == ()
         assert trace.stop_reason == STOP_FEATURES_EXHAUSTED
         assert model.size == 1
@@ -258,7 +246,7 @@ class TestEvolve:
             record.criterion for record in trace.accepted
         )
         assert all(b < a for a, b in zip(chain, chain[1:]))
-        if not trace.degenerate:
+        if trace.accepted:
             assert model.criterion_history == chain
 
         # rejection soundness and h monotonicity
@@ -275,7 +263,7 @@ class TestEvolve:
         # size bounds
         assert 1 <= model.size <= config.max_layers
         assert model.size == max(1, len(trace.accepted))
-        assert trace.degenerate == (len(trace.accepted) == 0)
+        assert (model.neurons[0].p == 1) == (len(trace.accepted) == 0)
         assert model.anchor_feature == trace.ranked_features[0].feature
 
     def test_same_seed_is_fully_reproducible(self, small_split):
@@ -303,7 +291,7 @@ class TestAnchorModel:
         split = split_odd_even(noise_dataset())
         config = TrainConfig(delta=10.0, seed=2)
         model, trace = evolve(split, config, rng_for_run(2, 0))
-        assert trace.degenerate
+        assert not trace.accepted
         baseline = anchor_baseline(split, model.anchor_feature, config,
                                    rng_for_run(2, 0))
         assert (model.neurons[0].weights.tobytes()
