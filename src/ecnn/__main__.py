@@ -1,0 +1,8 @@
+"""``python -m ecnn``: the ``ecnn`` command line."""
+
+import sys
+
+from .cli import run
+
+if __name__ == "__main__":
+    sys.exit(run())

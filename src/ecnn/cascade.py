@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import CascadeModel, Dataset, Feature
+from .domain import CascadeModel, Dataset, Feature, FeatureStats
 from .errors import DataError
 from .fitting import design_matrix, sigmoid
 
 __all__ = ["forward_batch", "classify_batch", "used_features", "error_rate"]
 
 
-def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray]:
+def forward_batch(
+    model: CascadeModel, features, width=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every neuron on a batch of raw examples.
 
     Returns (outputs, final) where outputs has one row per neuron in layer
@@ -24,20 +26,36 @@ def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray
     statistics they are applied to the raw features first; the features
     must then provide exactly the training-time column count.  Only the
     columns the model reads are copied and normalized.
+
+    ``features`` holds whole rows, or, with ``width``, only the
+    :func:`used_features` columns of rows ``width`` features wide, in that
+    order, as ``load_csv(..., features=used_features(model))`` reads them.
+    The column count is checked against ``width`` then.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise DataError(f"features must form a 2-dimensional matrix, got {X.shape}")
     columns = used_features(model)
-    if model.normalization_stats is not None:
-        X = model.normalization_stats.transform(X, columns)
-    elif X.shape[1] < model.required_features:
+    whole = width is None
+    if whole:
+        width = X.shape[1]
+    stats = model.normalization_stats
+    if stats is not None:
+        stats.require_width(width)
+    elif width < model.required_features:
         raise DataError(
             f"model reads {model.required_features} feature columns, "
-            f"data has {X.shape[1]}"
+            f"data has {width}"
         )
-    else:
+    if whole:
         X = X[:, columns]
+    elif X.shape[1] != len(columns):
+        raise DataError(
+            f"features hold {X.shape[1]} columns, the model reads {len(columns)}"
+        )
+    if stats is not None:
+        chosen = list(columns)
+        X = FeatureStats(stats.mean[chosen], stats.std[chosen]).transform(X)
     # Feature column c of the model is column slot[c] of X.
     slot = {column: k for k, column in enumerate(columns)}
     n = X.shape[0]
@@ -54,9 +72,12 @@ def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray
     return outputs, outputs[-1]
 
 
-def classify_batch(model: CascadeModel, features, threshold: float = 0.5) -> np.ndarray:
-    """Vector of 0/1 labels for a batch of examples."""
-    _, final = forward_batch(model, features)
+def classify_batch(
+    model: CascadeModel, features, threshold: float = 0.5, width=None
+) -> np.ndarray:
+    """Vector of 0/1 labels for a batch of examples; ``features`` and
+    ``width`` are as for :func:`forward_batch`."""
+    _, final = forward_batch(model, features, width)
     return (final >= threshold).astype(float)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import classify_batch, forward_batch
+from .cascade import classify_batch, forward_batch, used_features
 from .data_io import (
     ZeroVarianceWarning,
     format_scores,
@@ -32,12 +32,7 @@ from .data_io import (
     synth_dataset,
     write_csv,
 )
-from .domain import (
-    Dataset,
-    TrainConfig,
-    require_finite_features,
-    require_valid_dataset,
-)
+from .domain import Dataset, TrainConfig, require_valid_dataset
 from .errors import DataError, EcnnError, ModelFormatError
 from .evolve import multi_run, select_best
 from .model_io import dump_canonical_json, load_model, save_model
@@ -327,14 +322,14 @@ def cmd_predict(args) -> int:
     model, config = load_model(args.model)
     threshold = _threshold(args.threshold, config)
     jobs = _usable_cpus()
+    # Only the model's columns are converted; the loaders check the rest.
+    columns = used_features(model)
     if args.label is not None:
-        data = load_csv(args.data, args.label, jobs=jobs)
-        require_valid_dataset(data)
+        data, names = load_csv(args.data, args.label, jobs=jobs, features=columns)
         features = data.features
     else:
-        features, _ = load_matrix_csv(args.data, jobs=jobs)
-        require_finite_features(features)
-    _, outputs = forward_batch(model, features)
+        features, names = load_matrix_csv(args.data, jobs=jobs, features=columns)
+    _, outputs = forward_batch(model, features, len(names))
     text = format_scores(outputs, (outputs >= threshold).astype(int))
     if args.out is not None:
         out = Path(args.out)
@@ -349,9 +344,10 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     model, config = load_model(args.model)
     threshold = _threshold(args.threshold, config)
-    data = load_csv(args.data, args.label, jobs=_usable_cpus())
-    require_valid_dataset(data)
-    labels = classify_batch(model, data.features, threshold)
+    data, names = load_csv(
+        args.data, args.label, jobs=_usable_cpus(), features=used_features(model)
+    )
+    labels = classify_batch(model, data.features, threshold, len(names))
     positives = data.targets == 1.0
     predicted = labels == 1.0
     tp = int(np.count_nonzero(predicted & positives))
@@ -480,3 +476,7 @@ def run(argv=None) -> int:
     except Exception as exc:  # anything else is a bug, not a user mistake
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import mmap
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -19,7 +20,13 @@ import numpy as np
 import orjson
 
 from ._pool import fork_map
-from .domain import Dataset, FeatureStats, SplitAB, require_finite_features
+from .domain import (
+    Dataset,
+    FeatureStats,
+    SplitAB,
+    require_finite_features,
+    require_valid_dataset,
+)
 from .errors import DataError
 
 __all__ = [
@@ -100,11 +107,13 @@ def _parse_cells(path, label_column) -> tuple[list[str], np.ndarray, int | None]
                     f"{path}: non-numeric value {cell.strip()!r} at row {i + 1}, "
                     f"column {header[j]!r}"
                 ) from None
-            if j == label_idx and value not in (0.0, 1.0):
-                raise DataError(
-                    f"{path}: label must be 0 or 1, got {cell.strip()!r} "
-                    f"at row {i + 1}"
-                )
+            if j == label_idx:
+                if value not in (0.0, 1.0):
+                    raise DataError(
+                        f"{path}: label must be 0 or 1, got {cell.strip()!r} "
+                        f"at row {i + 1}"
+                    )
+                value = abs(value)  # a -0 label reads as 0
             values[i, j] = value
     return header, values, label_idx
 
@@ -205,18 +214,51 @@ def _line_ranges(handle, begin: int, end: int, parts: int) -> list[tuple[int, in
     return ranges
 
 
-def _parse_range(path, table: np.ndarray, line_range) -> tuple[int, int, int, int] | None:
+def _table_columns(
+    width: int, label_idx, features
+) -> tuple[list[int] | None, int | None, list[int]]:
+    """The layout of a loaded table: the file columns it keeps in its
+    order (None for all ``width`` of them), the label's column in it, and
+    the columns of requested features the file lacks.
+
+    With ``features`` (0-based, counted without the label column) the
+    table keeps each feature's file column, then the label's.  A feature
+    at or past the file's feature count keeps column 0 in its place, and
+    the caller sets that table column to NaN.
+    """
+    if features is None:
+        return None, label_idx, []
+    columns = [c + (label_idx is not None and c >= label_idx) for c in features]
+    absent = [slot for slot, column in enumerate(columns) if column >= width]
+    columns = [0 if column >= width else column for column in columns]
+    if label_idx is None:
+        return columns, None, absent
+    return columns + [label_idx], len(columns), absent
+
+
+def _parse_range(
+    path, table: np.ndarray, width: int, columns, label_slot, line_range
+) -> tuple[int, int, int] | None:
     """Screen and parse one range of the body, block by block, into its
     rows of ``table`` in place.
 
-    Returns the range's counts: mantissa minus signs, carriage returns,
-    CRLFs and line ends.  Returns None if a byte is outside the screen,
-    orjson refuses a block, a line has another cell count than the table
-    or the range does not hold exactly its rows.
+    Every cell is parsed by orjson, but only the file ``columns`` the
+    table keeps (all when None) are converted to floats.  orjson reads
+    the integer ``-0`` as 0, where ``float("-0")`` is -0.0, so where a
+    block's kept feature cells hold a zero (``label_slot``, the label's
+    table column, aside: a ``-0`` label reads as 0 in every parse), the
+    block is converted whole and its sign bits must equal its mantissa
+    minus signs.  A ``-0`` in another column never reaches the table.
+
+    Returns the range's counts: carriage returns, CRLFs and line ends.
+    Returns None if a byte is outside the screen, orjson refuses a block,
+    a line has another cell count than ``width``, a block's signs do not
+    match or the range does not hold exactly its rows.
     """
     start, stop, first, rows = line_range
     out = table[first:first + rows]
-    row = minus = carriage_returns = crlf = newlines = 0
+    pick = None if columns is None else operator.itemgetter(*columns)
+    row = carriage_returns = crlf = newlines = 0
     try:
         with open(path, "rb") as handle:
             handle.seek(start)
@@ -225,57 +267,79 @@ def _parse_range(path, table: np.ndarray, line_range) -> tuple[int, int, int, in
                 if signs.translate(None, _SIGN_BYTES):
                     return None
                 newlines += signs.count(b"\n")
-                # Minus signs of mantissas; an exponent's follows its e.
-                minus += signs.count(b"-") - signs.count(b"e-") - signs.count(b"E-")
                 if b"\r" in signs:
                     carriage_returns += signs.count(b"\r")
                     crlf += block.count(b"\r\n")
                 text = block.replace(b"\n", b"],[")
                 end = len(text) - 3 if block.endswith(b"\n") else len(text)
-                cells = np.array(
-                    orjson.loads(b"[[%b]]" % memoryview(text)[:end]), dtype=float
-                )
-                if cells.shape[1] != out.shape[1]:
+                lines = orjson.loads(b"[[%b]]" % memoryview(text)[:end])
+                if set(map(len, lines)) != {width}:
                     return None
+                if pick is None:
+                    cells = np.array(lines, dtype=float)
+                else:
+                    cells = np.array(list(map(pick, lines)), dtype=float)
+                    cells = cells.reshape(len(lines), len(columns))
+                zero = cells == 0.0
+                if label_slot is not None:
+                    zero[:, label_slot] = False
+                if zero.any():
+                    whole = cells if pick is None else np.array(lines, dtype=float)
+                    # Minus signs of mantissas; an exponent's follows its e.
+                    minus = signs.count(b"-") - signs.count(b"e-") - signs.count(b"E-")
+                    if np.count_nonzero(np.signbit(whole)) != minus:
+                        return None
                 # A row past the range's end raises, or (one row into an
                 # empty slot) fails the row count below.
                 out[row:row + len(cells)] = cells
                 row += len(cells)
-    # ValueError covers orjson's errors, ragged lines and a range with
-    # more rows than counted.
+    # ValueError covers orjson's errors and a range with more rows than
+    # counted.
     except (OSError, ValueError):
         return None
     if row != rows:
         return None
-    return minus, carriage_returns, crlf, newlines
+    return carriage_returns, crlf, newlines
 
 
-def _parse_json_blocks(path, jobs: int = 1) -> tuple[list[str], np.ndarray] | None:
+def _parse_json_blocks(
+    path, jobs: int = 1, label_column=None, features=None
+) -> tuple[list[str], np.ndarray, int | None] | None:
     """The body parsed by orjson, one block of lines at a time, on up to
-    ``jobs`` processes.
+    ``jobs`` processes: the header names, a table and the label's column
+    index (None without ``label_column``).
+
+    The table holds every column, or with ``features`` each feature's
+    column and then the label's, as :func:`_table_columns` lays it out;
+    a feature the file lacks reads NaN.  Every cell is screened and
+    parsed either way, and only the float conversion shrinks.  Labels
+    must be 0 or 1 and are stored as such, a ``-0`` as 0.
 
     Blank lines that close the body are left out, as :func:`_body_end`
     finds them.  The rest is cut at line ends into ``max(1, min(jobs,
     body bytes // _MIN_WORKER_BYTES))`` ranges, and the lines of each are
-    counted, to size one ``(rows, columns)`` table.  One range is parsed
-    in this process into an ordinary array.  Several are parsed by forked
-    workers into one table in a shared anonymous ``mmap``, which the
-    returned array keeps alive; nothing is copied out of it.  Each range
-    is screened and parsed block by block by :func:`_parse_range`, and the
-    rules that span the body are applied to the sums of its counts, so
-    the table, its bits and every refusal are the same for every ``jobs``.
+    counted, to size the table.  One range is parsed in this process into
+    an ordinary array.  Several are parsed by forked workers into one
+    table in a shared anonymous ``mmap``, which the returned array keeps
+    alive; nothing is copied out of it.  Each range is screened and
+    parsed block by block by :func:`_parse_range`, and the rules that
+    span the body are applied to the sums of its counts, so the table,
+    its bits and every refusal are the same for every ``jobs``.
 
     orjson rounds decimal text to the nearest double as ``float()`` does
     (Clinger 1990; Lemire 2021), so every number it accepts has the
     reference's bits.  The header line is read by ``csv`` on its own, so
     quoted names are taken.  Returns None unless every quoted name closes
-    on the header line, every body byte is a digit, one of ``eE+-.,``, a
-    space, a tab or a line end, the lines all end alike (CRLF or LF), each
-    cell is a JSON number with optional spaces and tabs around it (no
-    ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, ``1 2``, empty or
-    blank cell, or overflow to infinity) other than the integer ``-0``,
-    and every line has the header's cell count, so a blank line inside
-    the body is refused.
+    on the header line, the label column is found, every body byte is a
+    digit, one of ``eE+-.,``, a space, a tab or a line end, the lines all
+    end alike (CRLF or LF), each cell is a JSON number with optional
+    spaces and tabs around it (no ``nan``, ``inf``, ``.5``, ``5.``,
+    ``+1``, ``01``, ``1 2``, empty or blank cell, or overflow to
+    infinity), no kept feature cell is the integer ``-0``, every line
+    has the header's cell count, so a blank line inside the body is
+    refused, and every label is 0 or 1.  A labeled file with fewer than
+    two feature columns is refused when ``features`` are given, so that
+    the caller checks its whole table.
     """
     try:
         with open(path, "rb") as handle:
@@ -291,39 +355,66 @@ def _parse_json_blocks(path, jobs: int = 1) -> tuple[list[str], np.ndarray] | No
     # ValueError covers decoding.
     except (OSError, ValueError, csv.Error):
         return None
+    header = [cell.strip() for cell in header]
+    label_idx = None
+    if label_column is not None:
+        # The per-cell parse reports a missing label after the file's
+        # own faults, so it is not reported from here.
+        try:
+            label_idx = _label_index(header, label_column, path)
+        except DataError:
+            return None
+        # A column load stands for the whole file, and a labeled file
+        # with fewer than two feature columns fails the whole-file check,
+        # which needs the table the per-cell parse gives.
+        if features is not None and len(header) < 3:
+            return None
     rows = sum(line_range[3] for line_range in ranges)
     if not rows:
         return None
-    shape = (rows, len(header))
+    columns, label_slot, absent = _table_columns(len(header), label_idx, features)
+    shape = (rows, len(header) if columns is None else len(columns))
     if len(ranges) > 1:
-        shared = mmap.mmap(-1, rows * len(header) * np.dtype(float).itemsize)
-        values = np.frombuffer(shared, dtype=float).reshape(shape)
+        shared = mmap.mmap(-1, shape[0] * shape[1] * np.dtype(float).itemsize)
+        table = np.frombuffer(shared, dtype=float).reshape(shape)
     else:
-        values = np.empty(shape)
-    task = partial(_parse_range, path, values)
+        table = np.empty(shape)
+    task = partial(_parse_range, path, table, len(header), columns, label_slot)
     counts = list(fork_map(task, ranges, len(ranges)))
     if None in counts:
         return None
-    minus, carriage_returns, crlf, newlines = map(sum, zip(*counts))
+    carriage_returns, crlf, newlines = map(sum, zip(*counts))
     # csv ends a row at a lone CR, which JSON reads as a space.
     if carriage_returns and not carriage_returns == crlf == newlines:
         return None
-    # A mantissa's minus sign sets its value's sign bit, except on the
-    # integer -0: orjson reads it as int 0, where float("-0") is -0.0.
-    if np.count_nonzero(np.signbit(values)) != minus:
-        return None
-    return [cell.strip() for cell in header], values
+    if label_slot is not None:
+        labels = table[:, label_slot]
+        if not np.all((labels == 0.0) | (labels == 1.0)):
+            return None
+        np.abs(labels, out=labels)
+    table[:, absent] = np.nan
+    return header, table, label_idx
 
 
-def _load_table(path, label_column, jobs) -> tuple[list[str], np.ndarray, int | None]:
-    """Header names, the value matrix and the label's column index (None
+def _load_table(
+    path, label_column, jobs, features=None
+) -> tuple[list[str], np.ndarray, int | None]:
+    """Header names, a value table and the label's column index (None
     when ``label_column`` is None).  Row N in an error is the Nth data row
     below the header.  ``jobs`` caps the processes of the orjson stage.
 
+    The table holds every column, or with ``features`` only those feature
+    columns and then the label, as :func:`_table_columns` lays them out.
+    A table of some columns must still stand for the whole file, so a
+    file that gives one is checked whole first, as
+    :func:`~ecnn.domain.require_valid_dataset` checks a labeled one and
+    :func:`~ecnn.domain.require_finite_features` an unlabeled one.
+
     :func:`_parse_json_blocks` serves the file when it can vouch for it,
-    blank lines at its end included.  A file it refuses, such as one with
-    a blank line inside the body or a ``.5``, ``+1``, ``-0`` or ``nan``
-    cell, or whose labels are not all 0 or 1, is parsed again cell by cell
+    blank lines at its end included; every cell it accepts is finite.  A
+    file it refuses, such as one with a blank line inside the body, a
+    ``.5``, ``+1`` or ``nan`` cell or an integer ``-0`` it cannot vouch
+    for, or whose labels are not all 0 or 1, is parsed again cell by cell
     by :func:`_parse_cells`, which loads it or raises its exact error.
     The orjson stage reads every file it accepts with the reference's
     bits, with one known exception: an unquoted cell longer than the csv
@@ -332,36 +423,55 @@ def _load_table(path, label_column, jobs) -> tuple[list[str], np.ndarray, int | 
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    parsed = _parse_json_blocks(path, jobs)
+    if features is not None and (not features or min(features) < 0):
+        raise ValueError("features must be a non-empty list of indices >= 0")
+    parsed = _parse_json_blocks(path, jobs, label_column, features)
     if parsed is not None:
-        header, values = parsed
-        if label_column is None:
-            return header, values, None
-        label_idx = _label_index(header, label_column, path)
-        labels = values[:, label_idx]
-        if np.all((labels == 0.0) | (labels == 1.0)):
-            return header, values, label_idx
-    return _parse_cells(path, label_column)
+        return parsed
+    header, table, label_idx = _parse_cells(path, label_column)
+    if features is None:
+        return header, table, label_idx
+    if label_idx is None:
+        require_finite_features(table)
+    else:
+        require_valid_dataset(
+            Dataset(np.delete(table, label_idx, axis=1), table[:, label_idx])
+        )
+    columns, _, absent = _table_columns(len(header), label_idx, features)
+    kept = table[:, columns]
+    kept[:, absent] = np.nan
+    return header, kept, label_idx
 
 
-def load_matrix_csv(path, jobs: int = 1) -> tuple[np.ndarray, tuple[str, ...]]:
+def load_matrix_csv(
+    path, jobs: int = 1, features=None
+) -> tuple[np.ndarray, tuple[str, ...]]:
     """Parse a headed CSV where every column is a feature.
 
     Returns the value matrix and the header names.  Useful for unlabeled
     prediction inputs.  ``jobs`` is as for :func:`load_csv`; the matrix of
     a file parsed by several workers lives in a shared ``mmap`` that goes
     when the matrix does.
+
+    ``features``, a list of 0-based column indices, keeps only those
+    columns in the matrix, in that order; a column the file lacks reads
+    NaN.  The names stay the whole header, so ``len(names)`` is the
+    file's width.  Every cell is still parsed, and the whole file is
+    checked as :func:`~ecnn.domain.require_finite_features` would check
+    its full matrix, so a fault in a dropped column still raises.
     """
-    header, values, _ = _load_table(path, None, jobs)
-    return values, tuple(header)
+    header, table, _ = _load_table(path, None, jobs, features)
+    return table, tuple(header)
 
 
-def load_csv(path, label_column, jobs: int = 1) -> Dataset:
+def load_csv(
+    path, label_column, jobs: int = 1, features=None
+) -> Dataset | tuple[Dataset, tuple[str, ...]]:
     """Parse a headed CSV into a Dataset, splitting off the label column.
 
     ``label_column`` is a header name or a 0-based column index.  Labels
-    must parse as exactly 0 or 1; every other column becomes a feature in
-    file order.
+    must parse as exactly 0 or 1, and a ``-0`` label reads as 0; every
+    other column becomes a feature in file order.
 
     ``jobs`` caps the processes the file is parsed on.  A body the orjson
     stage can read and of at least two times ``_MIN_WORKER_BYTES`` (8 MiB)
@@ -371,16 +481,27 @@ def load_csv(path, label_column, jobs: int = 1) -> Dataset:
     process.  The Dataset and every error are the same for every ``jobs``,
     which is not capped at the CPU count.  A worker that dies raises
     ``BrokenProcessPool``.
+
+    ``features``, a list of 0-based feature indices (the label column not
+    counted, as a model numbers them), asks for those columns alone, as
+    scoring needs them.  The result is then ``(dataset, names)``: the
+    Dataset holds only those columns, in that order and unnamed (a column
+    the file lacks reads NaN), and ``names`` are all the file's feature
+    names, so ``len(names)`` is its feature count.  Every cell is still
+    parsed, and the whole file is checked as
+    :func:`~ecnn.domain.require_valid_dataset` would check its full
+    Dataset, so a fault in a dropped column still raises.
     """
-    header, values, label_idx = _load_table(path, label_column, jobs)
+    header, table, label_idx = _load_table(path, label_column, jobs, features)
+    names = tuple(header[:label_idx] + header[label_idx + 1:])
+    if features is not None:
+        return Dataset(table[:, :-1], table[:, -1]), names
     # Copy the labels and drop the parsed table before Dataset copies the
     # features, so at most two feature-sized matrices are alive at once.
-    targets = values[:, label_idx].copy()
-    features = np.delete(values, label_idx, axis=1)
-    del values
-    return Dataset(
-        features, targets, tuple(header[:label_idx] + header[label_idx + 1:])
-    )
+    targets = table[:, label_idx].copy()
+    features = np.delete(table, label_idx, axis=1)
+    del table
+    return Dataset(features, targets, names)
 
 
 # Rows formatted per write, so the file text never sits in memory whole.

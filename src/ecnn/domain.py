@@ -298,6 +298,15 @@ class FeatureStats:
         """Columns whose training variance was zero."""
         return tuple(int(j) for j in np.nonzero(self.std == 0.0)[0])
 
+    def require_width(self, width: int) -> None:
+        """Raise :class:`DataError` unless rows of ``width`` features are
+        what these statistics cover."""
+        if width != self.m:
+            raise DataError(
+                f"feature count mismatch: statistics cover {self.m} columns, "
+                f"data has {width}"
+            )
+
     def transform(self, features, columns=None) -> np.ndarray:
         """Center and scale a row vector or matrix; constant columns map to 0.
 
@@ -305,11 +314,7 @@ class FeatureStats:
         and returned, in that order, with the same bits as the full result.
         """
         X = np.asarray(features, dtype=float)
-        if X.shape[-1] != self.m:
-            raise DataError(
-                f"feature count mismatch: statistics cover {self.m} columns, "
-                f"data has {X.shape[-1]}"
-            )
+        self.require_width(X.shape[-1])
         mean, std = self.mean, self.std
         if columns is not None:
             columns = list(columns)

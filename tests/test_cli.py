@@ -7,14 +7,20 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import build_cascade, count_pools, deadline, no_pool
 
 from ecnn import (
+    CascadeModel,
     EcnnError,
+    Feature,
     FeatureStats,
+    NeuronSpec,
     TrainConfig,
     forward_batch,
     load_model,
@@ -25,6 +31,7 @@ from ecnn import (
 )
 from ecnn.cli import OUT_DIR_ENV, build_parser, run
 
+import ecnn
 import ecnn.cascade
 import ecnn.cli
 import ecnn.data_io
@@ -550,6 +557,177 @@ class TestLoaderWorkers:
             )
         assert code == 3
         assert stderr.startswith("internal error: BrokenProcessPool")
+
+
+def data_error(message):
+    return 2, "", f"data error: {message}\n", None
+
+
+# Inputs whose outcome turns on the columns a model does not read or on
+# the file's width.  STATS_MODEL reads columns 0 and 2 of three.
+COLUMN_INPUTS = {
+    "nan-in-unused-column": "x0,x1,x2,y\n0.5,nan,1.0,1\n-0.5,2.0,0.25,0\n",
+    "abc-in-unused-column": "x0,x1,x2,y\n0.5,2.0,1.0,1\n-0.5,abc,0.25,0\n",
+    "nan-in-used-and-unused-columns": "x0,x1,x2,y\n0.5,nan,inf,1\nnan,2.0,0.25,0\n",
+    "non-binary-label": "x0,x1,x2,y\n0.5,2.0,1.0,1\n-0.5,3.0,0.25,2\n",
+    "width-mismatch": "x0,x1,y\n0.5,2.0,1\n-0.5,3.0,0\n",
+    "one-feature-file": "x0,y\n0.5,1\n-0.5,0\n",
+    "one-feature-file-with-nan": "x0,y\nnan,1\n-0.5,0\n",
+    "one-feature-model": "x0,x1,y\n0.5,2.0,1\n-0.5,-3.0,0\n",
+}
+NAN_AT_1_1 = "non-finite feature value at row 1, column 1"
+THREE_NANS = (
+    f"{NAN_AT_1_1}; non-finite feature value at row 1, column 2; "
+    "non-finite feature value at row 2, column 0"
+)
+ABC = "{data}: non-numeric value 'abc' at row 2, column 'x1'"
+TWO_WANTED = "invalid dataset: at least two features required"
+# (exit code, stdout, stderr, scores.csv) of predict --label y, predict
+# and eval --label y, recorded when every command converted every column;
+# {data} and {out} stand for the paths.
+WHOLE_TABLE_OUTCOMES = {
+    "nan-in-unused-column": (
+        data_error(f"invalid dataset: {NAN_AT_1_1}"),
+        data_error(f"invalid features: {NAN_AT_1_1}"),
+        data_error(f"invalid dataset: {NAN_AT_1_1}"),
+    ),
+    "abc-in-unused-column": (data_error(ABC),) * 3,
+    "nan-in-used-and-unused-columns": (
+        data_error(f"invalid dataset: {THREE_NANS}"),
+        data_error(f"invalid features: {THREE_NANS}"),
+        data_error(f"invalid dataset: {THREE_NANS}"),
+    ),
+    "non-binary-label": (
+        data_error("{data}: label must be 0 or 1, got '2' at row 2"),
+        data_error("feature count mismatch: statistics cover 3 columns, data has 4"),
+        data_error("{data}: label must be 0 or 1, got '2' at row 2"),
+    ),
+    "width-mismatch": (
+        data_error("feature count mismatch: statistics cover 3 columns, data has 2"),
+        (0, "predictions: {out} (2 rows)\n", "",
+         "index,output,label\n0,0.09534946489910949,0\n1,0.7310585786300049,1\n"),
+        data_error("feature count mismatch: statistics cover 3 columns, data has 2"),
+    ),
+    "one-feature-file": (
+        data_error(TWO_WANTED),
+        data_error("feature count mismatch: statistics cover 3 columns, data has 2"),
+        data_error(TWO_WANTED),
+    ),
+    "one-feature-file-with-nan": (
+        data_error(f"{TWO_WANTED}; non-finite feature value at row 1, column 0"),
+        data_error("invalid features: non-finite feature value at row 1, column 0"),
+        data_error(f"{TWO_WANTED}; non-finite feature value at row 1, column 0"),
+    ),
+    "one-feature-model": (
+        (0, "predictions: {out} (2 rows)\n", "",
+         "index,output,label\n0,0.004070137715896128,0\n1,0.9999251537724895,1\n"),
+    ) * 2 + (
+        (0, "examples: 2\nerror rate: 100.00%\naccuracy: 0.00%\n"
+            "confusion: tp=0 fn=1 fp=1 tn=0\n", "", None),
+    ),
+}
+SCORING_COMMANDS = (["predict", "--label", "y"], ["predict"], ["eval", "--label", "y"])
+
+
+class TestScoringReadsTheModelsColumns:
+    """predict and eval convert only the model's columns, yet answer as
+    when they converted all: the whole file is checked, and widths are
+    the file's."""
+
+    @pytest.fixture
+    def models(self, tmp_path):
+        stats_model = build_cascade(
+            [np.array([0.25, 1.5, -2.0])], candidate_features=[2],
+            stats=FeatureStats(np.array([0.1, 0.0, 0.3]), np.array([2.0, 1.0, 0.5])),
+        )
+        one_feature_model = CascadeModel(
+            neurons=(NeuronSpec(layer=1, wiring=(Feature(1),),
+                                weights=np.array([0.5, -3.0])),),
+            anchor_feature=1, criterion_history=(2.0,),
+        )
+        paths = {}
+        for name, model in (("stats", stats_model), ("one", one_feature_model)):
+            paths[name] = tmp_path / f"{name}.ecnn"
+            save_model(paths[name], model, TrainConfig())
+        return paths
+
+    @pytest.mark.parametrize("name", COLUMN_INPUTS)
+    def test_outcomes_equal_the_whole_table_ones(self, tmp_path, capsys, models, name):
+        data = tmp_path / "d.csv"
+        data.write_text(COLUMN_INPUTS[name], encoding="utf-8")
+        model = models["one" if name == "one-feature-model" else "stats"]
+        scores = tmp_path / "scores.csv"
+        for command, want in zip(SCORING_COMMANDS, WHOLE_TABLE_OUTCOMES[name]):
+            out = ["--out", str(scores)] if command[0] == "predict" else []
+            code, stdout, stderr = invoke(
+                capsys, *command, "--model", str(model), "--data", str(data), *out
+            )
+            got = (code, stdout, stderr,
+                   scores.read_text(encoding="utf-8") if scores.exists() else None)
+            code, stdout, stderr, text = want
+            assert got == (
+                code, stdout.format(out=scores), stderr.format(data=data), text
+            ), command
+            scores.unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("command", SCORING_COMMANDS,
+                             ids=["predict-label", "predict", "eval"])
+    def test_one_load_and_one_forward_pass_over_every_row(
+        self, tmp_path, capsys, monkeypatch, saved_model, command
+    ):
+        # The shape bench/tracer.py counts: the data path first to a loader,
+        # and one row per data row to one forward pass.
+        calls = []
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("load_csv", "load_matrix_csv", "forward_batch"):
+            monkeypatch.setattr(ecnn.cli, name, recorded(name, getattr(ecnn.cli, name)))
+        monkeypatch.setattr(ecnn.cascade, "forward_batch",
+                            recorded("forward_batch", ecnn.cascade.forward_batch))
+        data = tmp_path / "d.csv"
+        data.write_text("x0,x1,y\n0.0,-2.0,1\n0.0,2.0,1\n0.5,0.0,0\n", encoding="utf-8")
+        code, _, _ = invoke(capsys, *command, "--model", str(saved_model),
+                            "--data", str(data))
+        assert code == 0
+        loads = [args for name, args in calls if name.startswith("load")]
+        passes = [args for name, args in calls if name == "forward_batch"]
+        assert [args[0] for args in loads] == [str(data)]
+        assert [name for name, _ in calls if name.startswith("load")] == [
+            "load_matrix_csv" if "--label" not in command else "load_csv"
+        ]
+        assert [len(args[1]) for args in passes] == [3]
+
+
+class TestModuleEntryPoints:
+    def run_module(self, tmp_path, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run(
+            [sys.executable, "-m", *argv], cwd=tmp_path, capture_output=True,
+            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+
+    def test_python_m_ecnn_runs_a_command(self, tmp_path):
+        done = self.run_module(
+            tmp_path, "ecnn", "synth", "--n", "10", "--m", "3", "--relevant", "0",
+            "--out", "x.csv",
+        )
+        assert done.returncode == 0
+        assert (tmp_path / "x.csv").read_text(encoding="utf-8").startswith("x0,x1,x2,y\n")
+
+    def test_python_m_ecnn_cli_prints_the_version(self, tmp_path):
+        done = self.run_module(tmp_path, "ecnn.cli", "--version")
+        assert (done.returncode, done.stdout) == (0, f"ecnn {ecnn.__version__}\n")
+
+    def test_exit_codes_pass_through(self, tmp_path):
+        done = self.run_module(tmp_path, "ecnn", "predict", "--model", "no.ecnn",
+                               "--data", "no.csv")
+        assert done.returncode == 2
+        assert done.stderr.startswith("data error:")
 
 
 class TestThresholdFlag:

@@ -25,7 +25,15 @@ from hypothesis import strategies as st
 
 from conftest import count_pools, deadline, no_cell_parse
 
-from ecnn import DataError, Dataset, load_csv, load_matrix_csv, write_csv
+from ecnn import (
+    DataError,
+    Dataset,
+    load_csv,
+    load_matrix_csv,
+    require_finite_features,
+    require_valid_dataset,
+    write_csv,
+)
 from ecnn.data_io import _parse_json_blocks
 
 import ecnn.data_io as data_io
@@ -107,7 +115,7 @@ def reference_load_csv(path, label_column):
                         f"{path}: label must be 0 or 1, got {cell.strip()!r} "
                         f"at row {i + 1}"
                     )
-                targets[i] = value
+                targets[i] = abs(value)
             else:
                 features[i, k] = value
                 k += 1
@@ -590,6 +598,125 @@ class TestSplitStageMatchesOneWorker:
         assert [rows for *_, rows in ranges] == [1] * lines
         started = assert_every_job_count_loads_alike(path, "y")
         assert started == ([] if lines == 1 else [2] * 6)
+
+
+# -- the column load ---------------------------------------------------------
+
+
+def select_columns(matrix, columns):
+    """``matrix``'s ``columns`` in that order; NaN for one it lacks."""
+    kept = np.full((matrix.shape[0], len(columns)), np.nan)
+    for slot, column in enumerate(columns):
+        if column < matrix.shape[1]:
+            kept[:, slot] = matrix[:, column]
+    return kept
+
+
+def reference_column_load_csv(path, label_column, features):
+    """The whole-file reference load, checked whole, then its columns."""
+    data = reference_load_csv(path, label_column)
+    require_valid_dataset(data)
+    kept = Dataset(select_columns(data.features, features), data.targets)
+    return kept, data.feature_names
+
+
+def reference_column_load_matrix_csv(path, features):
+    values, names = reference_load_matrix_csv(path)
+    require_finite_features(values)
+    return select_columns(values, features), names
+
+
+def assert_same_column_load(got, want):
+    assert_same_dataset(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def assert_column_loads_match(path, label_column, features, jobs=1):
+    assert_same_outcome(
+        outcome(load_csv, path, label_column, jobs, features),
+        outcome(reference_column_load_csv, path, label_column, features),
+        assert_same_column_load,
+    )
+    assert_same_outcome(
+        outcome(load_matrix_csv, path, jobs, features),
+        outcome(reference_column_load_matrix_csv, path, features),
+        assert_same_matrix,
+    )
+
+
+# Feature indices past the generated files' widths are asked for too.
+FEATURE_LISTS = st.lists(st.integers(0, 4), min_size=1, max_size=4)
+
+
+class TestColumnLoadMatchesTheReference:
+    """``features=`` converts some columns: the same bits as the whole
+    reference load cut to them, or the same error, the whole file's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=first_stage_texts(), label_column=st.sampled_from(["y", 0, "c0"]),
+           features=FEATURE_LISTS)
+    def test_first_stage_texts(self, text, label_column, features):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert_column_loads_match(path, label_column, features)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts(), label_column=LABEL_COLUMNS, features=FEATURE_LISTS)
+    def test_general_texts(self, text, label_column, features):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert_column_loads_match(path, label_column, features)
+
+    @pytest.mark.parametrize("text, features, served", [
+        ("a,b,y\n1.0,-0,1\n3.0,4.0,0\n", [1], False),
+        ("a,b,y\n1.0,-0,1\n3.0,4.0,0\n", [0], True),
+        ("a,b,y\n1.0,2.0,-0\n3.0,4.0,1\n", [0, 1], True),
+        ("a,b,y\n0.0,-0.0,1\n0e0,-0e0,0\n1.0,0,1\n", [1, 0], True),
+        ("a,b,y\n-0.0,-0,1\n", [0], False),
+        ("a,b,y\n1.0,2.0,1\n3.0,4.0\n", [0], False),
+        ("a,b,y\n1.0,2.0,1\n3.0,4.0,0,5.0\n", [0], False),
+        ("a,b,y\n1.0,nan,1\n", [0], False),
+        ("a,y,b,c\n1.5,1,-2.5,0.0\n-1e-3,0,4e5,-0.0\n", [2, 0], True),
+        ("a,y,b,c\n1.5,1,-2.5,-0\n", [1], True),
+        ("a,y,b,c\n1.5,1,-2.5,-0\n", [2], False),
+        ("a,b,y\n1.0,2.0,1\n", [0, 5], True),
+    ], ids=[
+        "integer-minus-zero-kept", "integer-minus-zero-dropped",
+        "integer-minus-zero-label", "kept-zeros-keep-their-signs",
+        "one-block-both-zeros", "short-row", "long-row", "nan-dropped",
+        "label-in-the-middle", "label-in-the-middle-minus-zero-dropped",
+        "label-in-the-middle-minus-zero-kept", "feature-past-the-width",
+    ])
+    def test_fixed_cases(self, tmp_path, monkeypatch, text, features, served):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        stage = _parse_json_blocks(path, 1, "y", features)
+        assert (stage is not None) == served
+        if served:
+            monkeypatch.setattr(data_io, "_parse_cells", no_cell_parse)
+        assert_column_loads_match(path, "y", features)
+
+    @pytest.mark.parametrize("body", [
+        TestSplitStageMatchesOneWorker.CLEAN + "3.0,-0,1\n",
+        TestSplitStageMatchesOneWorker.CLEAN + "-0,0.0,1\n",
+        TestSplitStageMatchesOneWorker.CLEAN + "3.0,4.0,-0\n",
+        TestSplitStageMatchesOneWorker.CLEAN + "nan,2.0,1\n",
+        TestSplitStageMatchesOneWorker.CLEAN + "3.0,4.0,2\n",
+        TestSplitStageMatchesOneWorker.CLEAN + "3.0,4.0\n",
+    ], ids=["minus-zero-kept", "minus-zero-dropped", "minus-zero-label",
+            "nan-dropped", "non-binary-label", "short-row"])
+    def test_split_over_workers(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("a,b,y\n" + body).encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_io, "_MIN_WORKER_BYTES", TINY_WORKER_BYTES)
+            started = count_pools(patch)
+            with deadline(60):
+                for jobs in (1, 2, 3):
+                    assert_column_loads_match(path, "y", [1], jobs)
+        assert started == [2] * 2 + [3] * 2
 
 
 # Doubles from arbitrary 64-bit patterns (mostly far outside [1e-3, 1e15),

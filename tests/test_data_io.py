@@ -123,6 +123,24 @@ class TestLoadCsv:
         kept = loaded.features.nbytes + loaded.targets.nbytes
         assert peak <= 2.5 * kept
 
+    @pytest.mark.parametrize("load", [
+        lambda path: load_csv(path, "y", features=[3, 17]),
+        lambda path: load_matrix_csv(path, features=[3, 17]),
+    ], ids=["load_csv", "load_matrix_csv"])
+    def test_a_column_load_builds_no_whole_table(self, tmp_path, load):
+        # A third of the whole (20000, 31) float table: a load that
+        # converted every column, even for a moment, would pass it.
+        data, _ = synth_dataset(n=20000, m=30, relevant=(3,), noise_sigma=0.5, seed=2)
+        path = tmp_path / "d.csv"
+        write_csv(path, data)
+        tracemalloc.start()
+        try:
+            load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20000 * 31 * 8 / 3
+
 
 class TestSplitLoad:
     """``load_csv(..., jobs)`` with the first stage on forked workers."""
@@ -248,13 +266,15 @@ class TestParseStages:
         assert loaded.features.view(np.uint64).tolist() == data.features.view(np.uint64).tolist()
         assert loaded.targets.tolist() == data.targets.tolist()
 
-    @pytest.mark.parametrize("body, features, targets", [
-        ("1.0,2.0,-0\n", [[1.0, 2.0]], [-0.0]),
-        ("-0,2.0,1\n", [[-0.0, 2.0]], [1.0]),
-        (".5,2.0,1\n", [[0.5, 2.0]], [1.0]),
+    @pytest.mark.parametrize("body, features, targets, cell_parses", [
+        # A -0 label reads as 0, so the first stage serves load_csv; as a
+        # matrix cell it is -0.0, which that stage cannot vouch for.
+        ("1.0,2.0,-0\n", [[1.0, 2.0]], [0.0], 0),
+        ("-0,2.0,1\n", [[-0.0, 2.0]], [1.0], 1),
+        (".5,2.0,1\n", [[0.5, 2.0]], [1.0], 1),
     ])
     def test_negative_zero_and_bare_point_fall_through(
-        self, tmp_path, monkeypatch, body, features, targets
+        self, tmp_path, monkeypatch, body, features, targets, cell_parses
     ):
         path = write_text(tmp_path / "d.csv", "a,b,y\n" + body)
         calls = []
@@ -267,10 +287,25 @@ class TestParseStages:
         monkeypatch.setattr(data_io, "_parse_cells", spy)
         assert data_io._parse_json_blocks(path) is None
         loaded = load_csv(path, label_column="y")
-        assert calls == [path]
+        assert calls == [path] * cell_parses
         want = np.array(features)
         assert loaded.features.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert np.array(targets).view(np.uint64).tolist() == loaded.targets.view(np.uint64).tolist()
+
+
+    @pytest.mark.parametrize("label", ["-0", "-0.0"])
+    @pytest.mark.parametrize("stage", ["orjson", "per-cell"])
+    def test_a_negative_zero_label_reads_as_zero(self, tmp_path, monkeypatch, stage, label):
+        path = write_text(tmp_path / "d.csv", f"a,b,y\n1.0,2.0,{label}\n3.0,4.0,1\n")
+        if stage == "orjson":
+            monkeypatch.setattr(data_io, "_parse_cells", no_cell_parse)
+        else:
+            monkeypatch.setattr(data_io, "_parse_json_blocks", lambda *args: None)
+        whole = load_csv(path, "y")
+        columns, _ = load_csv(path, "y", features=[1])
+        for targets in (whole.targets, columns.targets):
+            want = np.array([0.0, 1.0])
+            assert targets.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestWriteCsv:
