@@ -260,27 +260,8 @@ def cmd_train(args) -> int:
     if not 0.0 <= args.test_fraction < 1.0:
         raise UsageError("--test-fraction must be in [0, 1)")
     config = _config_from_args(args)
-    data = load_csv(args.data, args.label, jobs=jobs)
-    require_valid_dataset(data)
-
-    if args.test_fraction > 0.0:
-        split_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(1,))
-        )
-        train_raw, test_raw = split_train_test(data, args.test_fraction, split_rng)
-    else:
-        train_raw, test_raw = data, None
-
-    train_norm, stats = normalize_quietly(train_raw)
-    test_norm = (
-        None
-        if test_raw is None
-        else Dataset(
-            stats.transform(test_raw.features), test_raw.targets, test_raw.feature_names
-        )
-    )
-
-    best_model, summaries = multi_run(train_norm, test_norm, config, args.runs, jobs)
+    train, test, stats = _training_sets(args, config.seed, jobs)
+    best_model, summaries = multi_run(train, test, config, args.runs, jobs)
     best = select_best(summaries)
     final_model = best_model.with_normalization(stats)
 
@@ -306,6 +287,32 @@ def cmd_train(args) -> int:
     print(f"model file: {model_path}")
     print(f"run summary: {summary_path}")
     return 0
+
+
+def _training_sets(args, seed: int, jobs: int):
+    """The normalized train and test sets (test None without
+    ``--test-fraction``) and the training statistics.
+
+    Only these outlive the call: the loaded data is dropped once it is
+    split, and each raw side once it is normalized, so the restarts and
+    the workers they fork do not hold them.
+    """
+    data = load_csv(args.data, args.label, jobs=jobs)
+    require_valid_dataset(data)
+    if args.test_fraction > 0.0:
+        split_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(1,))
+        )
+        train, test = split_train_test(data, args.test_fraction, split_rng)
+    else:
+        train, test = data, None
+    del data
+    train, stats = normalize_quietly(train)
+    if test is not None:
+        features = stats.transform(test.features)
+        features.flags.writeable = False
+        test = Dataset(features, test.targets, test.feature_names)
+    return train, test, stats
 
 
 def normalize_quietly(train: Dataset):

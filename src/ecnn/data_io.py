@@ -313,7 +313,9 @@ def _parse_json_blocks(
     column and then the label's, as :func:`_table_columns` lays it out;
     a feature the file lacks reads NaN.  Every cell is screened and
     parsed either way, and only the float conversion shrinks.  Labels
-    must be 0 or 1 and are stored as such, a ``-0`` as 0.
+    must be 0 or 1 and are stored as such, a ``-0`` as 0.  A
+    ``label_column`` the header lacks raises :func:`_label_index`'s
+    :class:`DataError` once the rest of the file is read without a fault.
 
     Blank lines that close the body are left out, as :func:`_body_end`
     finds them.  The rest is cut at line ends into ``max(1, min(jobs,
@@ -330,16 +332,15 @@ def _parse_json_blocks(
     (Clinger 1990; Lemire 2021), so every number it accepts has the
     reference's bits.  The header line is read by ``csv`` on its own, so
     quoted names are taken.  Returns None unless every quoted name closes
-    on the header line, the label column is found, every body byte is a
-    digit, one of ``eE+-.,``, a space, a tab or a line end, the lines all
-    end alike (CRLF or LF), each cell is a JSON number with optional
-    spaces and tabs around it (no ``nan``, ``inf``, ``.5``, ``5.``,
-    ``+1``, ``01``, ``1 2``, empty or blank cell, or overflow to
-    infinity), no kept feature cell is the integer ``-0``, every line
-    has the header's cell count, so a blank line inside the body is
-    refused, and every label is 0 or 1.  A labeled file with fewer than
-    two feature columns is refused when ``features`` are given, so that
-    the caller checks its whole table.
+    on the header line, every body byte is a digit, one of ``eE+-.,``, a
+    space, a tab or a line end, the lines all end alike (CRLF or LF), each
+    cell is a JSON number with optional spaces and tabs around it (no
+    ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, ``1 2``, empty or
+    blank cell, or overflow to infinity), no kept feature cell is the
+    integer ``-0``, every line has the header's cell count, so a blank
+    line inside the body is refused, and every label is 0 or 1.  A labeled
+    file with fewer than two feature columns is refused when ``features``
+    are given, so that the caller checks its whole table.
     """
     try:
         with open(path, "rb") as handle:
@@ -356,19 +357,22 @@ def _parse_json_blocks(
     except (OSError, ValueError, csv.Error):
         return None
     header = [cell.strip() for cell in header]
-    label_idx = None
+    label_idx = missing_label = None
     if label_column is not None:
-        # The per-cell parse reports a missing label after the file's
-        # own faults, so it is not reported from here.
         try:
             label_idx = _label_index(header, label_column, path)
-        except DataError:
-            return None
-        # A column load stands for the whole file, and a labeled file
-        # with fewer than two feature columns fails the whole-file check,
-        # which needs the table the per-cell parse gives.
-        if features is not None and len(header) < 3:
-            return None
+        except DataError as exc:
+            # The per-cell parse reports the faults of the rows before a
+            # missing label, and no others.  A file this stage reads has
+            # none, so it is read as a plain table of one column, and the
+            # label's error is raised only if that succeeds.
+            missing_label, features = exc, [0]
+        else:
+            # A column load stands for the whole file, and a labeled file
+            # with fewer than two feature columns fails the whole-file
+            # check, which needs the table the per-cell parse gives.
+            if features is not None and len(header) < 3:
+                return None
     rows = sum(line_range[3] for line_range in ranges)
     if not rows:
         return None
@@ -387,6 +391,8 @@ def _parse_json_blocks(
     # csv ends a row at a lone CR, which JSON reads as a space.
     if carriage_returns and not carriage_returns == crlf == newlines:
         return None
+    if missing_label is not None:
+        raise missing_label
     if label_slot is not None:
         labels = table[:, label_slot]
         if not np.all((labels == 0.0) | (labels == 1.0)):
@@ -496,11 +502,12 @@ def load_csv(
     names = tuple(header[:label_idx] + header[label_idx + 1:])
     if features is not None:
         return Dataset(table[:, :-1], table[:, -1]), names
-    # Copy the labels and drop the parsed table before Dataset copies the
-    # features, so at most two feature-sized matrices are alive at once.
+    # Both are new arrays; frozen, the Dataset takes them without a copy,
+    # so once the parsed table goes one feature-sized matrix is left.
     targets = table[:, label_idx].copy()
     features = np.delete(table, label_idx, axis=1)
     del table
+    features.flags.writeable = targets.flags.writeable = False
     return Dataset(features, targets, names)
 
 
@@ -582,10 +589,10 @@ def normalize(train: Dataset) -> tuple[Dataset, FeatureStats]:
             ZeroVarianceWarning,
             stacklevel=2,
         )
-    return (
-        Dataset(stats.transform(train.features), train.targets, train.feature_names),
-        stats,
-    )
+    # The transform is a new array; frozen, the Dataset takes it as is.
+    features = stats.transform(train.features)
+    features.flags.writeable = False
+    return Dataset(features, train.targets, train.feature_names), stats
 
 
 def split_odd_even(train: Dataset) -> SplitAB:

@@ -1,8 +1,12 @@
 """Value types for cascade network training.
 
-Everything here is an immutable value object: arrays are copied on
-construction and marked read-only, so instances can be shared freely
-between threads or worker processes without synchronization.
+Everything here is an immutable value object: its arrays are float64
+and read-only, so instances can be shared freely between threads or
+worker processes without synchronization.  A constructor takes a
+float64 array of the right dimension as is when it is already read-only
+and owns its memory, as an array a producer made and froze does; it
+copies and freezes anything else, so a caller's writeable array or a
+view of one is never shared.
 """
 
 from __future__ import annotations
@@ -36,9 +40,19 @@ __all__ = [
 MAX_SEED = 2**64 - 1
 
 
-def _frozen_array(values, dtype=float, ndim=None, name="array") -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
-    if ndim is not None and arr.ndim != ndim:
+def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
+    """``values`` as a read-only float64 array of ``ndim`` dimensions: the
+    array itself if it already is one and owns its memory, else a copy."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.ndim == ndim
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    arr = np.array(values, dtype=float, copy=True)
+    if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
@@ -52,6 +66,14 @@ class Dataset:
     (binary targets, matching lengths, finite values, enough columns) are
     the job of :func:`require_valid_dataset`, so that a broken input is
     reported item by item instead of dying at construction.
+
+    ``features`` and ``targets`` are stored read-only.  An array that is
+    float64, of the right dimension, read-only and owns its memory is
+    kept as is, without a copy: :func:`~ecnn.data_io.load_csv`,
+    :meth:`take` and :func:`~ecnn.data_io.normalize` freeze the arrays
+    they just made, so a dataset is held once.  Anything else is copied,
+    so mutating a writeable array after passing it in, or the array a
+    view was cut from, changes nothing here.
     """
 
     features: np.ndarray  # (n, m)
@@ -84,7 +106,9 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset, in the order given."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.targets[idx], self.feature_names)
+        features, targets = self.features[idx], self.targets[idx]
+        features.flags.writeable = targets.flags.writeable = False
+        return Dataset(features, targets, self.feature_names)
 
 
 # Error messages list at most this many violations, then the total count.
@@ -307,24 +331,21 @@ class FeatureStats:
                 f"data has {width}"
             )
 
-    def transform(self, features, columns=None) -> np.ndarray:
+    def transform(self, features) -> np.ndarray:
         """Center and scale a row vector or matrix; constant columns map to 0.
 
-        With ``columns``, only those columns of ``features`` are computed
-        and returned, in that order, with the same bits as the full result.
+        Each column is computed on its own, so the statistics of some
+        columns, applied to those columns alone, give the bits of the full
+        result's columns.
         """
         X = np.asarray(features, dtype=float)
         self.require_width(X.shape[-1])
-        mean, std = self.mean, self.std
-        if columns is not None:
-            columns = list(columns)
-            X, mean, std = X[..., columns], mean[columns], std[columns]
         # One output buffer; constant columns are never computed, so they
         # stay exactly 0 and raise no floating-point warnings.
         out = np.zeros_like(X)
-        scaled = std > 0.0
-        np.subtract(X, mean, out=out, where=scaled)
-        np.divide(out, std, out=out, where=scaled)
+        scaled = self.std > 0.0
+        np.subtract(X, self.mean, out=out, where=scaled)
+        np.divide(out, self.std, out=out, where=scaled)
         return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -176,6 +177,18 @@ def count_pools(patch):
 
     patch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     return started
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most memory tracemalloc saw allocated
+    while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @contextmanager

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from ecnn import (
     used_features,
 )
 
-from conftest import build_cascade, random_cascade
+from conftest import build_cascade, random_cascade, traced_peak
 
 
 def sig(x: float) -> float:
@@ -136,12 +135,7 @@ class TestForward:
         stats = FeatureStats(mean=rng.standard_normal(m), std=rng.random(m) + 0.5)
         model = build_cascade([rng.standard_normal(3)], [41], anchor=7, stats=stats)
         X = rng.standard_normal((n, m))
-        tracemalloc.start()
-        try:
-            _, got = forward_batch(model, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, got), peak = traced_peak(lambda: forward_batch(model, X))
         assert peak < X.nbytes / 4
         bare = build_cascade([model.neurons[0].weights], [41], anchor=7)
         _, want = forward_batch(bare, stats.transform(X))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_cascade, count_pools, deadline, no_pool
+from conftest import build_cascade, count_pools, deadline, no_pool, traced_peak
 
 from ecnn import (
     CascadeModel,
@@ -247,6 +247,22 @@ class TestTrain:
             outputs.append((stdout, out.read_bytes(),
                             out.with_name("model.runs.csv").read_bytes()))
         assert outputs[1] == outputs[0]
+
+    def test_train_holds_its_data_about_once(self, tmp_path):
+        # Loaded, split, raw and normalized copies of the feature matrix
+        # all alive during the restarts came to about 5 times it.
+        n, m = 50000, 8
+        data, _ = synth_dataset(n=n, m=m, relevant=(1, 4, 6), noise_sigma=0.5, seed=3)
+        path = tmp_path / "data.csv"
+        write_csv(path, data)
+        del data
+        code, peak = traced_peak(lambda: run([
+            "train", "--data", str(path), "--label", "y", "--runs", "1",
+            "--jobs", "1", "--test-fraction", "0.3", "--max-fit-steps", "2",
+            "--out", str(tmp_path / "m.ecnn"),
+        ]))
+        assert code == 0
+        assert peak <= 3 * n * m * 8
 
     def test_constant_column_is_noted_on_stderr(self, tmp_path, capsys):
         data, _ = synth_dataset(n=60, m=3, relevant=(0,), noise_sigma=0.3, seed=5)

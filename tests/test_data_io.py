@@ -5,13 +5,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import count_pools, deadline, no_cell_parse
+from conftest import count_pools, deadline, no_cell_parse, traced_peak
 
 from ecnn import (
     DataError,
@@ -56,6 +55,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no column named 'missing'"):
             load_csv(path, label_column="missing")
 
+    def test_the_dataset_holds_the_arrays_the_load_made(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "a,b,y\n1.5,2.0,1\n-0.5,3.25,0\n")
+        data = load_csv(path, label_column="y")
+        for array in (data.features, data.targets):
+            assert not array.flags.writeable and array.flags.owndata
+
     def test_non_numeric_cell_raises_with_location(self, tmp_path):
         path = write_text(tmp_path / "d.csv",
                           "a,b,y\n1.0,2.0,1\n1.0,oops,0\n")
@@ -67,10 +72,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="label must be 0 or 1"):
             load_csv(path, label_column="y")
 
-    def test_ragged_row_raises(self, tmp_path):
+    @pytest.mark.parametrize("label", ["y", "nope"])
+    def test_ragged_row_raises(self, tmp_path, label):
+        # Before a wrong label, too.
         path = write_text(tmp_path / "d.csv", "a,b,y\n1.0,2.0,1\n1.0,2.0\n")
         with pytest.raises(DataError, match="row 2 has 2 cells, header has 3"):
-            load_csv(path, label_column="y")
+            load_csv(path, label_column=label)
 
     def test_empty_file_raises(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "")
@@ -107,19 +114,14 @@ class TestLoadCsv:
             load(path)
 
     def test_peak_memory_stays_near_the_loaded_dataset(self, tmp_path):
-        # The parsed table, the feature columns cut from it and the
-        # Dataset's own copy must never all be alive at once.
+        # The parsed table and the feature columns cut from it are the
+        # most that is alive at once: the Dataset takes the cut as is.
         gen = np.random.default_rng(3)
         data = Dataset(gen.standard_normal((2000, 30)),
                        (gen.random(2000) < 0.5).astype(float))
         path = tmp_path / "d.csv"
         write_csv(path, data)
-        tracemalloc.start()
-        try:
-            loaded = load_csv(path, label_column="y")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(lambda: load_csv(path, label_column="y"))
         kept = loaded.features.nbytes + loaded.targets.nbytes
         assert peak <= 2.5 * kept
 
@@ -133,12 +135,7 @@ class TestLoadCsv:
         data, _ = synth_dataset(n=20000, m=30, relevant=(3,), noise_sigma=0.5, seed=2)
         path = tmp_path / "d.csv"
         write_csv(path, data)
-        tracemalloc.start()
-        try:
-            load(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: load(path))
         assert peak < 20000 * 31 * 8 / 3
 
 
@@ -292,6 +289,21 @@ class TestParseStages:
         assert loaded.features.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert np.array(targets).view(np.uint64).tolist() == loaded.targets.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("features", [None, [1]], ids=["whole", "columns"])
+    @pytest.mark.parametrize("label, message", [
+        ("nope", "no column named 'nope' in header ['a', 'b', 'y']"),
+        (3, "label column index 3 out of range for 3 columns"),
+        ("-1", "label column index -1 out of range for 3 columns"),
+    ], ids=["name", "index-past-the-end", "negative-index"])
+    def test_a_wrong_label_is_reported_by_the_first_stage(
+        self, tmp_path, monkeypatch, features, label, message
+    ):
+        # The per-cell parse would read the whole file with csv first.
+        path = write_text(tmp_path / "d.csv", "a,b,y\n1.0,-0,1\n3.0,-4.0,0\n")
+        monkeypatch.setattr(data_io, "_parse_cells", no_cell_parse)
+        with pytest.raises(DataError) as raised:
+            load_csv(path, label, features=features)
+        assert str(raised.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("label", ["-0", "-0.0"])
     @pytest.mark.parametrize("stage", ["orjson", "per-cell"])
@@ -359,6 +371,12 @@ class TestNormalize:
         data = Dataset(raw, (rng.random(30) < 0.5).astype(float))
         scaled, stats = normalize(data)
         np.testing.assert_array_equal(stats.transform(raw), scaled.features)
+
+    def test_the_normalized_set_holds_its_transform_and_the_same_targets(self, rng):
+        data = Dataset(rng.standard_normal((10, 2)), (rng.random(10) < 0.5).astype(float))
+        scaled, _ = normalize(data)
+        assert scaled.targets is data.targets
+        assert not scaled.features.flags.writeable and scaled.features.flags.owndata
 
     def test_single_example_raises(self):
         data = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]))

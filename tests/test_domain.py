@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import traced_peak
 
 from ecnn import (
     CascadeModel,
@@ -41,6 +41,44 @@ class TestDataset:
             d.features[0, 0] = 9.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.targets = np.zeros(1)
+
+    def test_a_writeable_array_is_copied(self):
+        features, targets = np.ones((3, 2)), np.zeros(3)
+        d = Dataset(features, targets)
+        assert not np.shares_memory(d.features, features)
+        assert not np.shares_memory(d.targets, targets)
+        features[0, 0] = targets[0] = 9.0
+        assert d.features[0, 0] == 1.0 and d.targets[0] == 0.0
+        assert features.flags.writeable
+
+    def test_a_frozen_array_that_owns_its_memory_is_taken_as_is(self):
+        features, targets = np.ones((3, 2)), np.zeros(3)
+        features.flags.writeable = targets.flags.writeable = False
+        d = Dataset(features, targets)
+        assert d.features is features and d.targets is targets
+
+    def test_a_frozen_view_is_copied(self):
+        table = np.arange(12.0).reshape(4, 3)
+        table.flags.writeable = False
+        d = Dataset(table[:, :2], table[:, 2])
+        assert not np.shares_memory(d.features, table)
+        assert not np.shares_memory(d.targets, table)
+        assert not d.features.flags.writeable and d.features.flags.owndata
+
+    @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
+    def test_a_frozen_array_of_another_dtype_is_converted(self, dtype):
+        features = np.ones((3, 2), dtype=dtype)
+        features.flags.writeable = False
+        d = Dataset(features, np.zeros(3))
+        assert d.features is not features and d.features.dtype == np.float64
+
+    def test_take_gives_arrays_it_owns_read_only(self):
+        d = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+        sub = d.take([3, 1])
+        for array in (sub.features, sub.targets):
+            assert not array.flags.writeable and array.flags.owndata
+            assert not np.shares_memory(array, d.features)
+            assert not np.shares_memory(array, d.targets)
 
     def test_take_preserves_order(self):
         d = Dataset([[0.0, 0], [1, 1], [2, 2]], [0, 1, 0], ("a", "b"))
@@ -397,12 +435,7 @@ class TestFeatureStats:
         std = np.ones(30)
         std[::7] = 0.0
         stats = FeatureStats(mean=X.mean(axis=0), std=std)
-        tracemalloc.start()
-        try:
-            out = stats.transform(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: stats.transform(X))
         assert peak <= 1.5 * out.nbytes
 
     def test_width_mismatch_raises(self):
@@ -410,23 +443,22 @@ class TestFeatureStats:
         with pytest.raises(DataError, match="mismatch"):
             stats.transform([[1.0, 2.0]])
 
-    def test_chosen_columns_have_the_bits_of_the_full_transform(self, rng):
+    def test_statistics_of_some_columns_give_the_bits_of_the_full_transform(
+        self, rng
+    ):
+        # The form forward_batch uses to normalize only the columns a
+        # model reads.
         X = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-5, 5, (50, 6))
         std = rng.random(6) + 0.5
         std[[1, 4]] = 0.0
         stats = FeatureStats(mean=rng.standard_normal(6), std=std)
-        columns = (4, 0, 3, 1)
-        got = stats.transform(X, columns)
-        assert got.shape == (50, 4)
+        columns = [4, 0, 3, 1]
+        chosen = FeatureStats(stats.mean[columns], stats.std[columns])
+        got = chosen.transform(X[:, columns])
         want = stats.transform(X)[:, columns]
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        row = stats.transform(X[7], columns)
+        row = chosen.transform(X[7, columns])
         assert row.view(np.uint64).tolist() == want[7].view(np.uint64).tolist()
-
-    def test_chosen_columns_still_need_the_full_width(self):
-        stats = FeatureStats(mean=[0.0, 0.0, 0.0], std=[1.0, 1.0, 1.0])
-        with pytest.raises(DataError, match="statistics cover 3 columns, data has 2"):
-            stats.transform([[1.0, 2.0]], columns=(0,))
 
     def test_negative_std_is_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
