@@ -15,6 +15,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -118,11 +119,11 @@ def _parse_cells(path, label_column) -> tuple[list[str], np.ndarray, int | None]
     return header, values, label_idx
 
 
-# Bytes a body may hold for the JSON stage: the number bytes it deletes
-# first, then the separators, signs and blanks it counts or passes.  Space
-# and tab are JSON whitespace, and float() strips both from a cell.
+# Bytes a body may hold for the JSON stage: the number bytes, deleted to
+# count mantissa signs, then the separators, signs and blanks.  Space and
+# tab are JSON whitespace, and float() strips both from a cell.
 _DIGIT_BYTES = b"0123456789.+"
-_SIGN_BYTES = b",\n\r-eE \t"
+_SCREEN_BYTES = _DIGIT_BYTES + b",\n\r-eE \t"
 # Body text parsed at once by the JSON stage.  Its Python objects take
 # about 8 times the text, so small blocks keep the parse's peak near the
 # table itself; on 50000x72 the speed hardly changes from 8 KiB to 1 MiB.
@@ -242,43 +243,60 @@ def _parse_range(
     """Screen and parse one range of the body, block by block, into its
     rows of ``table`` in place.
 
-    Every cell is parsed by orjson, but only the file ``columns`` the
-    table keeps (all when None) are converted to floats.  orjson reads
-    the integer ``-0`` as 0, where ``float("-0")`` is -0.0, so where a
-    block's kept feature cells hold a zero (``label_slot``, the label's
-    table column, aside: a ``-0`` label reads as 0 in every parse), the
-    block is converted whole and its sign bits must equal its mantissa
-    minus signs.  A ``-0`` in another column never reaches the table.
+    One pass screens a block: every byte is a digit, one of ``eE+-.,``, a
+    space, a tab or a line end.  A block longer than csv's field limit
+    may hold no cell longer than it.  orjson then parses every cell, which
+    must be a JSON number with optional spaces and tabs around it (no
+    ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, ``1 2``, empty or
+    blank cell, or overflow to infinity), and every line must have
+    ``width`` cells, so a blank line inside the body is refused.  Only the
+    file ``columns`` the table keeps (all when None) are converted to
+    floats.  orjson reads the integer ``-0`` as 0, where ``float("-0")``
+    is -0.0, so where a block's kept feature cells hold a zero
+    (``label_slot``, the label's table column, aside: a ``-0`` label reads
+    as 0 in every parse), the block is converted whole and its sign bits
+    must equal its mantissa minus signs.  A ``-0`` in another column never
+    reaches the table.
 
-    Returns the range's counts: carriage returns, CRLFs and line ends.
-    Returns None if a byte is outside the screen, orjson refuses a block,
-    a line has another cell count than ``width``, a block's signs do not
-    match or the range does not hold exactly its rows.
+    Returns the range's counts: carriage returns, CRLFs (counted only in
+    a block with a CR) and line ends (a block's rows from orjson, less
+    one if it does not end in one).  Returns None if a block fails the
+    screen, orjson refuses it, a line has another cell count than
+    ``width``, its signs do not match or the range does not hold exactly
+    its rows.
     """
     start, stop, first, rows = line_range
     out = table[first:first + rows]
     pick = None if columns is None else operator.itemgetter(*columns)
+    limit = csv.field_size_limit()
     row = carriage_returns = crlf = newlines = 0
     try:
         with open(path, "rb") as handle:
             handle.seek(start)
             for block in _line_blocks(handle, stop - start):
-                signs = block.translate(None, _DIGIT_BYTES)
-                if signs.translate(None, _SIGN_BYTES):
+                if block.translate(None, _SCREEN_BYTES):
                     return None
-                newlines += signs.count(b"\n")
-                if b"\r" in signs:
-                    carriage_returns += signs.count(b"\r")
+                if len(block) > limit and max(
+                    map(len, block.replace(b"\n", b",").split(b","))
+                ) > limit:
+                    return None
+                if b"\r" in block:
+                    carriage_returns += block.count(b"\r")
                     crlf += block.count(b"\r\n")
                 text = block.replace(b"\n", b"],[")
                 end = len(text) - 3 if block.endswith(b"\n") else len(text)
                 lines = orjson.loads(b"[[%b]]" % memoryview(text)[:end])
+                newlines += len(lines) - (not block.endswith(b"\n"))
                 if set(map(len, lines)) != {width}:
                     return None
                 if pick is None:
                     cells = np.array(lines, dtype=float)
                 else:
-                    cells = np.array(list(map(pick, lines)), dtype=float)
+                    # itemgetter of one column gives the cell, not a tuple.
+                    picked = map(pick, lines)
+                    if len(columns) > 1:
+                        picked = chain.from_iterable(picked)
+                    cells = np.fromiter(picked, float, len(lines) * len(columns))
                     cells = cells.reshape(len(lines), len(columns))
                 zero = cells == 0.0
                 if label_slot is not None:
@@ -286,6 +304,7 @@ def _parse_range(
                 if zero.any():
                     whole = cells if pick is None else np.array(lines, dtype=float)
                     # Minus signs of mantissas; an exponent's follows its e.
+                    signs = block.translate(None, _DIGIT_BYTES)
                     minus = signs.count(b"-") - signs.count(b"e-") - signs.count(b"E-")
                     if np.count_nonzero(np.signbit(whole)) != minus:
                         return None
@@ -332,15 +351,11 @@ def _parse_json_blocks(
     (Clinger 1990; Lemire 2021), so every number it accepts has the
     reference's bits.  The header line is read by ``csv`` on its own, so
     quoted names are taken.  Returns None unless every quoted name closes
-    on the header line, every body byte is a digit, one of ``eE+-.,``, a
-    space, a tab or a line end, the lines all end alike (CRLF or LF), each
-    cell is a JSON number with optional spaces and tabs around it (no
-    ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, ``1 2``, empty or
-    blank cell, or overflow to infinity), no kept feature cell is the
-    integer ``-0``, every line has the header's cell count, so a blank
-    line inside the body is refused, and every label is 0 or 1.  A labeled
-    file with fewer than two feature columns is refused when ``features``
-    are given, so that the caller checks its whole table.
+    on the header line, every range passes :func:`_parse_range`, the
+    lines all end alike (CRLF or LF) by the ranges' summed counts, and
+    every label is 0 or 1.  A labeled file with fewer than two feature
+    columns is refused when ``features`` are given, so that the caller
+    checks its whole table.
     """
     try:
         with open(path, "rb") as handle:
@@ -423,9 +438,7 @@ def _load_table(
     for, or whose labels are not all 0 or 1, is parsed again cell by cell
     by :func:`_parse_cells`, which loads it or raises its exact error.
     The orjson stage reads every file it accepts with the reference's
-    bits, with one known exception: an unquoted cell longer than the csv
-    module's field limit (131072 characters) is parsed as a number, where
-    the per-cell parse reports malformed CSV.
+    bits.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -560,14 +573,26 @@ def write_csv(path, dataset: Dataset, label_name: str = "y") -> None:
             ))
 
 
+# A label's text after its output; any other label is printed by %d.
+_LABEL_TAILS = {0: b",0\n", 1: b",1\n"}
+
+
 def format_scores(outputs: np.ndarray, labels: np.ndarray) -> str:
     """The ``predict`` table: row index, output in shortest round-trip
-    form, and its 0/1 label, under an ``index,output,label`` header."""
-    rows = _float_rows(np.asarray(outputs, dtype=float).reshape(-1, 1))
-    return "index,output,label\n" + b"".join(
-        b"%d,%b,%d\n" % cells
-        for cells in zip(range(len(rows)), rows, np.asarray(labels).tolist())
-    ).decode("ascii")
+    form, and its label (one per output, printed as by ``%d``), under an
+    ``index,output,label`` header."""
+    outputs = np.asarray(outputs, dtype=float).reshape(-1, 1)
+    n = len(outputs)
+    parts = [b","] * (4 * n)
+    if n:
+        indices = orjson.dumps(np.arange(n), option=orjson.OPT_SERIALIZE_NUMPY)
+        parts[0::4] = indices[1:-1].split(b",")
+        parts[2::4] = _float_rows(outputs)
+    parts[3::4] = [
+        _LABEL_TAILS.get(label) or b",%d\n" % label
+        for label in np.asarray(labels).tolist()
+    ]
+    return "index,output,label\n" + b"".join(parts).decode("ascii")
 
 
 def normalize(train: Dataset) -> tuple[Dataset, FeatureStats]:

@@ -38,6 +38,9 @@ from ecnn.cli import run as cli_run
 from ecnn.evolve import evolve
 
 RELEVANT = (10, 23, 36, 60)
+# Restarts run on every usable CPU; the --jobs byte tests hold their
+# results equal to one process's.
+JOBS = len(os.sched_getaffinity(0))
 
 
 def check(capfd, name: str, ok: bool, detail: str) -> None:
@@ -62,7 +65,7 @@ def recovery_reps():
         )
         train, test = split_train_test(data, 0.3, split_rng)
         config = TrainConfig(seed=master)
-        model, summaries = multi_run(train, test, config, runs=5)
+        model, summaries = multi_run(train, test, config, runs=5, jobs=JOBS)
         best = select_best(summaries)
         baseline = anchor_baseline(
             split_odd_even(train), model.anchor_feature, config,
@@ -187,7 +190,7 @@ class TestAcceptance:
         data, _ = synth_dataset(n=600, m=12, relevant=(1, 4, 7), noise_sigma=0.6,
                                 seed=21)
         config = TrainConfig(seed=77)
-        _, summaries = multi_run(data, None, config, runs=100)
+        _, summaries = multi_run(data, None, config, runs=100, jobs=JOBS)
         assert len(summaries) == 100
         sizes = {s.model_size for s in summaries}
         within = all(1 <= size <= config.max_layers for size in sizes)

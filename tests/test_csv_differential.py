@@ -4,8 +4,9 @@
 fall back to a per-cell parse only when that stage cannot vouch for the
 file.  The reference below is the per-cell parser on its own; on every
 generated text both must return the same float bits and names, or raise
-a ``DataError`` with the same message.  The writer is held to the bytes
-of a whole-text writer that prints one ``repr`` per cell.
+a ``DataError`` with the same message.  The writer and the ``predict``
+scores table are held to the bytes of writers that print one ``repr``
+per cell.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_pools, deadline, no_cell_parse
@@ -34,7 +37,7 @@ from ecnn import (
     require_valid_dataset,
     write_csv,
 )
-from ecnn.data_io import _parse_json_blocks
+from ecnn.data_io import _parse_json_blocks, format_scores
 
 import ecnn.data_io as data_io
 
@@ -719,6 +722,108 @@ class TestColumnLoadMatchesTheReference:
         assert started == [2] * 2 + [3] * 2
 
 
+# -- one screen per block ---------------------------------------------------
+
+# The bytes a body may hold for the first stage.
+SCREEN_ALPHABET = b"0123456789.+,\n\r-eE \t"
+# Cells orjson parses, holding the bytes outside the alphabet that orjson
+# accepts: " [ ] { } : t f n.
+JSON_CELLS = [b'"1"', b"[1]", b'{"k":1}', b"true", b"false", b"null"]
+
+
+def reaches_orjson(path, monkeypatch):
+    """The first stage's result on ``path`` (jobs 1), and whether it handed
+    orjson a block."""
+    blocks = []
+
+    def loads(text):
+        blocks.append(text)
+        return orjson.loads(text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data_io, "orjson", SimpleNamespace(loads=loads))
+        parsed = _parse_json_blocks(path)
+    return parsed, bool(blocks)
+
+
+class TestTheScreen:
+    """Each block's bytes are screened in one pass, before orjson parses
+    it; line ends are counted in every block, CRs only where there are
+    some, and the field limit only in a block longer than it."""
+
+    def test_every_byte_outside_the_alphabet_is_refused_first(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "d.csv"
+        for value in range(256):
+            path.write_bytes(b"a,b,y\n1.0,2" + bytes([value]) + b",1\n3.0,4.0,0\n")
+            parsed, parsed_by_orjson = reaches_orjson(path, monkeypatch)
+            assert parsed_by_orjson == (value in SCREEN_ALPHABET), value
+            if value not in SCREEN_ALPHABET:
+                assert parsed is None, value
+
+    @pytest.mark.parametrize("cell", JSON_CELLS, ids=lambda cell: cell.decode())
+    def test_json_that_orjson_accepts_is_refused(self, tmp_path, monkeypatch, cell):
+        line = b"1.0," + cell + b",1"
+        assert len(orjson.loads(b"[[" + line + b"]]")[0]) == 3
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,y\n" + line + b"\n")
+        assert reaches_orjson(path, monkeypatch) == (None, False)
+        assert_loaders_match(path, "y")
+
+    @pytest.mark.parametrize("first, later", [("\r\n", "\n"), ("\n", "\r\n")],
+                             ids=["crlf-then-lf", "lf-then-crlf"])
+    def test_line_ends_that_change_between_blocks_are_refused(
+        self, tmp_path, monkeypatch, first, later
+    ):
+        monkeypatch.setattr(data_io, "_READ_BLOCK_BYTES", 8)
+        body = ("1.0,2.0,1" + first) * 3 + ("3.0,4.0,0" + later) * 3
+        path = tmp_path / "d.csv"
+        path.write_bytes(("a,b,y\n" + body).encode("utf-8"))
+        with open(path, "rb") as handle:
+            handle.readline()
+            blocks = list(data_io._line_blocks(handle, len(body)))
+        # Each block on its own ends its lines alike.
+        assert len(blocks) > 1
+        assert all(block.count(b"\r") in (0, block.count(b"\n")) for block in blocks)
+        assert _parse_json_blocks(path, 1) is None
+        assert_loaders_match(path, "y")
+
+    def test_an_integer_minus_zero_in_a_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_io, "_READ_BLOCK_BYTES", 8)
+        path = tmp_path / "d.csv"
+        body = TestSplitStageMatchesOneWorker.CLEAN + "3.0,-0,1\n"
+        path.write_bytes(("a,b,y\n" + body).encode("utf-8"))
+        assert _parse_json_blocks(path, 1, "y", [1]) is None
+        assert _parse_json_blocks(path, 1) is None
+        # Dropped, the -0 never reaches the table.
+        assert _parse_json_blocks(path, 1, "y", [0]) is not None
+        assert_column_loads_match(path, "y", [1])
+        assert_loaders_match(path, "y")
+
+    @pytest.mark.parametrize("length, served", [(131072, True), (131073, False)])
+    def test_a_cell_at_the_csv_field_limit(self, tmp_path, length, served):
+        assert csv.field_size_limit() == 131072
+        cell = "0." + "0" * (length - 3) + "1"
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"a,b,y\n{cell},2.0,1\n3.0,4.0,0\n".encode("utf-8"))
+        assert (_parse_json_blocks(path) is not None) == served
+        want = outcome(reference_load_csv, path, "y")
+        if not served:
+            assert want[1].endswith("malformed CSV: field larger than field limit (131072)")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_io, "_MIN_WORKER_BYTES", TINY_WORKER_BYTES)
+            for jobs in (1, 2):
+                assert_same_outcome(
+                    outcome(load_csv, path, "y", jobs), want, assert_same_dataset
+                )
+                assert_same_outcome(
+                    outcome(load_matrix_csv, path, jobs),
+                    outcome(reference_load_matrix_csv, path),
+                    assert_same_matrix,
+                )
+
+
 # Doubles from arbitrary 64-bit patterns (mostly far outside [1e-3, 1e15),
 # where each cell is printed by repr), patterns whose exponent lies in that
 # band (printed by orjson), and hypothesis' own floats (boundaries, integers,
@@ -820,3 +925,39 @@ class TestStreamedWrite:
         path = tmp_path / "out.csv"
         write_csv(path, data)
         assert path.read_bytes() == reference_csv_text(data).encode("utf-8")
+
+
+def reference_scores(outputs, labels):
+    """The ``predict`` table printed one row at a time."""
+    return "index,output,label\n" + b"".join(
+        b"%d,%s,%d\n" % (i, repr(x).encode("ascii"), label)
+        for i, (x, label) in enumerate(zip(outputs.tolist(), labels.tolist()))
+    ).decode("ascii")
+
+
+@st.composite
+def scored_rows(draw):
+    """Outputs from arbitrary doubles and their labels: int 0/1, bool, or
+    int 0/1 with one other integer."""
+    n = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 30)))
+    patterns = draw(st.lists(DOUBLE_PATTERNS, min_size=n, max_size=n))
+    outputs = np.array(patterns, dtype=np.uint64).view(np.float64)
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["int", "bool", "other"]))
+    if kind != "bool":
+        labels = labels.astype(int)
+    if kind == "other" and n:
+        other = draw(st.integers(-(2**62), 2**62).filter(lambda v: v not in (0, 1)))
+        labels[draw(st.integers(0, n - 1))] = other
+    return outputs, labels
+
+
+class TestScoresTable:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=scored_rows())
+    @example(rows=(np.array([]), np.array([], dtype=int)))
+    @example(rows=(np.array([-0.0]), np.array([True])))
+    @example(rows=(np.array([0.5, np.nan, -1e300]), np.array([0, 2, 1])))
+    def test_matches_the_per_row_table(self, rows):
+        outputs, labels = rows
+        assert format_scores(outputs, labels) == reference_scores(outputs, labels)
