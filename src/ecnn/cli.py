@@ -414,6 +414,17 @@ def _histogram(values, bin_width: float) -> list[tuple[float, float, int]]:
     ]
 
 
+def _rates(rows, column: str) -> list[float]:
+    """The error rates recorded in ``column`` of ``rows``; each must be finite."""
+    rates = []
+    for row in rows:
+        if row[column]:
+            rates.append(float(row[column]))
+            if not math.isfinite(rates[-1]):
+                raise DataError(f"run {row['run']}: {column} is {row[column]}, not a rate")
+    return rates
+
+
 def cmd_report(args) -> int:
     if not 0 < args.bin < math.inf:
         raise UsageError("--bin must be positive and finite")
@@ -430,14 +441,13 @@ def cmd_report(args) -> int:
     try:
         ok_rows = [row for row in rows if row["status"] == "ok"]
         sizes = [int(row["size"]) for row in ok_rows]
-        train_errors = [
-            float(row["train_error_pct"]) for row in ok_rows if row["train_error_pct"]
-        ]
-        test_errors = [
-            float(row["test_error_pct"]) for row in ok_rows if row["test_error_pct"]
-        ]
+        train_errors = _rates(ok_rows, "train_error_pct")
+        test_errors = _rates(ok_rows, "test_error_pct")
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed summary file: {exc}") from exc
+    largest = max(map(abs, train_errors + test_errors), default=0.0)
+    if not math.isfinite(largest / args.bin):
+        raise UsageError(f"--bin {args.bin:g} is too narrow for error rate {largest:g}")
 
     failed = len(rows) - len(ok_rows)
     print(f"runs: {len(rows)} ({len(ok_rows)} ok, {failed} failed)")

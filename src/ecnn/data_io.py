@@ -92,10 +92,8 @@ def _label_index(header: list[str], label_column, path) -> int:
 
 
 def _parse_cells(path, label_column) -> tuple[list[str], np.ndarray, int | None]:
-    """The reference parse: csv rows, then one ``float()`` per cell.
-
-    Slow, but it defines every accepted input and every error message.
-    """
+    """The reference parse, csv rows then one ``float()`` per cell: slow,
+    but it defines every accepted input and every error message."""
     header, body = _read_rows(path)
     label_idx = None if label_column is None else _label_index(header, label_column, path)
     values = np.empty((len(body), len(header)))
@@ -172,18 +170,13 @@ def _line_start(handle, offset: int, end: int) -> int:
 
 
 def _body_end(handle, begin: int, end: int) -> int:
-    """Where the body ``[begin, end)`` of ``handle`` ends without the blank
-    lines that close it, which csv skips: past the last line's own line
-    end, or ``begin`` if the body holds only line ends.  Only its last
-    ``_READ_BLOCK_BYTES`` are read, so a longer run of blank lines stays."""
+    """Where the body ``[begin, end)`` of ``handle`` ends without the run of
+    CR and LF bytes that closes it, which csv skips.  Only its last
+    ``_READ_BLOCK_BYTES`` are read, so a longer run stays."""
     start = max(begin, end - _READ_BLOCK_BYTES)
     handle.seek(start)
-    tail = handle.read(end - start)
-    last = len(tail.rstrip(b"\r\n"))
-    if not last:
-        return begin if start == begin else end
-    line_end = 2 if tail.startswith(b"\r\n", last) else min(1, len(tail) - last)
-    return start + last + line_end
+    last = len(handle.read(end - start).rstrip(b"\r\n"))
+    return end if not last and start > begin else start + last
 
 
 def _line_ranges(handle, begin: int, end: int, parts: int) -> list[tuple[int, int, int, int]]:
@@ -237,58 +230,48 @@ def _table_columns(
     return columns + [label_idx], len(columns), absent
 
 
-def _parse_range(
-    path, table: np.ndarray, width: int, columns, label_slot, line_range
-) -> tuple[int, int, int] | None:
+def _parse_range(path, table, width: int, columns, label_slot, line_range) -> bool:
     """Screen and parse one range of the body, block by block, into its
-    rows of ``table`` in place.
+    rows of ``table`` in place; True if every block passes.
 
     One pass screens a block: every byte is a digit, one of ``eE+-.,``, a
-    space, a tab or a line end.  A block longer than csv's field limit
+    space, a tab, a CR or an LF.  A block longer than csv's field limit
     may hold no cell longer than it.  orjson then parses every cell, which
     must be a JSON number with optional spaces and tabs around it (no
     ``nan``, ``inf``, ``.5``, ``5.``, ``+1``, ``01``, ``1 2``, empty or
-    blank cell, or overflow to infinity), and every line must have
-    ``width`` cells, so a blank line inside the body is refused.  Only the
-    file ``columns`` the table keeps (all when None) are converted to
-    floats.  orjson reads the integer ``-0`` as 0, where ``float("-0")``
-    is -0.0, so where a block's kept feature cells hold a zero
-    (``label_slot``, the label's table column, aside: a ``-0`` label reads
-    as 0 in every parse), the block is converted whole and its sign bits
-    must equal its mantissa minus signs.  A ``-0`` in another column never
-    reaches the table.
-
-    Returns the range's counts: carriage returns, CRLFs (counted only in
-    a block with a CR) and line ends (a block's rows from orjson, less
-    one if it does not end in one).  Returns None if a block fails the
-    screen, orjson refuses it, a line has another cell count than
-    ``width``, its signs do not match or the range does not hold exactly
-    its rows.
+    blank cell, or overflow to infinity).  Every line must have ``width``
+    cells, so a blank line inside the body is refused, and every CR must
+    be followed by an LF: orjson reads a lone CR as a space, csv as a
+    line end.  Only the file ``columns`` the table keeps (all when None)
+    are converted to floats.  orjson reads the integer ``-0`` as 0, where
+    ``float("-0")`` is -0.0, so where a block's kept feature cells hold a
+    zero (``label_slot``, the label's table column, aside: a ``-0`` label
+    reads as 0 in every parse), the block is converted whole and its sign
+    bits must equal its mantissa minus signs.  The blocks must fill the
+    range's rows exactly.
     """
     start, stop, first, rows = line_range
     out = table[first:first + rows]
     pick = None if columns is None else operator.itemgetter(*columns)
     limit = csv.field_size_limit()
-    row = carriage_returns = crlf = newlines = 0
+    row = 0
     try:
         with open(path, "rb") as handle:
             handle.seek(start)
             for block in _line_blocks(handle, stop - start):
                 if block.translate(None, _SCREEN_BYTES):
-                    return None
+                    return False
                 if len(block) > limit and max(
                     map(len, block.replace(b"\n", b",").split(b","))
                 ) > limit:
-                    return None
-                if b"\r" in block:
-                    carriage_returns += block.count(b"\r")
-                    crlf += block.count(b"\r\n")
+                    return False
                 text = block.replace(b"\n", b"],[")
                 end = len(text) - 3 if block.endswith(b"\n") else len(text)
                 lines = orjson.loads(b"[[%b]]" % memoryview(text)[:end])
-                newlines += len(lines) - (not block.endswith(b"\n"))
-                if set(map(len, lines)) != {width}:
-                    return None
+                if set(map(len, lines)) != {width} or (
+                    b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
+                ):
+                    return False
                 if pick is None:
                     cells = np.array(lines, dtype=float)
                 else:
@@ -307,7 +290,7 @@ def _parse_range(
                     signs = block.translate(None, _DIGIT_BYTES)
                     minus = signs.count(b"-") - signs.count(b"e-") - signs.count(b"E-")
                     if np.count_nonzero(np.signbit(whole)) != minus:
-                        return None
+                        return False
                 # A row past the range's end raises, or (one row into an
                 # empty slot) fails the row count below.
                 out[row:row + len(cells)] = cells
@@ -315,47 +298,37 @@ def _parse_range(
     # ValueError covers orjson's errors and a range with more rows than
     # counted.
     except (OSError, ValueError):
-        return None
-    if row != rows:
-        return None
-    return carriage_returns, crlf, newlines
+        return False
+    return row == rows
 
 
 def _parse_json_blocks(
     path, jobs: int = 1, label_column=None, features=None
 ) -> tuple[list[str], np.ndarray, int | None] | None:
-    """The body parsed by orjson, one block of lines at a time, on up to
-    ``jobs`` processes: the header names, a table and the label's column
-    index (None without ``label_column``).
+    """The file parsed by orjson on up to ``jobs`` processes: the header
+    names, a table and the label's column index (None without
+    ``label_column``), or None if this stage cannot vouch for the file.
 
-    The table holds every column, or with ``features`` each feature's
-    column and then the label's, as :func:`_table_columns` lays it out;
-    a feature the file lacks reads NaN.  Every cell is screened and
-    parsed either way, and only the float conversion shrinks.  Labels
-    must be 0 or 1 and are stored as such, a ``-0`` as 0.  A
-    ``label_column`` the header lacks raises :func:`_label_index`'s
-    :class:`DataError` once the rest of the file is read without a fault.
+    The header line is read by ``csv`` on its own, so a quoted name is
+    taken if it closes on that line.  The body, less the closing run of
+    line ends :func:`_body_end` finds, is cut at line ends into
+    ``max(1, min(jobs, body bytes // _MIN_WORKER_BYTES))`` ranges, whose
+    lines are counted to size the table, and every range must pass
+    :func:`_parse_range`.  One range is parsed in this process into an
+    ordinary array, several by forked workers into one table in a shared
+    anonymous ``mmap``, which the returned array keeps alive.  No rule
+    spans two ranges, so the table and every refusal are the same for
+    every ``jobs``.  orjson rounds decimal text to the nearest double as
+    ``float()`` does (Clinger 1990; Lemire 2021), so every number it
+    accepts has the reference's bits.
 
-    Blank lines that close the body are left out, as :func:`_body_end`
-    finds them.  The rest is cut at line ends into ``max(1, min(jobs,
-    body bytes // _MIN_WORKER_BYTES))`` ranges, and the lines of each are
-    counted, to size the table.  One range is parsed in this process into
-    an ordinary array.  Several are parsed by forked workers into one
-    table in a shared anonymous ``mmap``, which the returned array keeps
-    alive; nothing is copied out of it.  Each range is screened and
-    parsed block by block by :func:`_parse_range`, and the rules that
-    span the body are applied to the sums of its counts, so the table,
-    its bits and every refusal are the same for every ``jobs``.
-
-    orjson rounds decimal text to the nearest double as ``float()`` does
-    (Clinger 1990; Lemire 2021), so every number it accepts has the
-    reference's bits.  The header line is read by ``csv`` on its own, so
-    quoted names are taken.  Returns None unless every quoted name closes
-    on the header line, every range passes :func:`_parse_range`, the
-    lines all end alike (CRLF or LF) by the ranges' summed counts, and
-    every label is 0 or 1.  A labeled file with fewer than two feature
-    columns is refused when ``features`` are given, so that the caller
-    checks its whole table.
+    The table holds the columns :func:`_table_columns` lays out, and a
+    feature the file lacks reads NaN.  Labels must be 0 or 1 and are
+    stored as such, a ``-0`` as 0.  A ``label_column`` the header lacks
+    raises :func:`_label_index`'s :class:`DataError` once the rest of the
+    file is read without a fault.  A column load of a labeled file with
+    fewer than two feature columns is refused, so that the caller checks
+    its whole table.
     """
     try:
         with open(path, "rb") as handle:
@@ -377,17 +350,12 @@ def _parse_json_blocks(
         try:
             label_idx = _label_index(header, label_column, path)
         except DataError as exc:
-            # The per-cell parse reports the faults of the rows before a
-            # missing label, and no others.  A file this stage reads has
-            # none, so it is read as a plain table of one column, and the
-            # label's error is raised only if that succeeds.
+            # The per-cell parse reports only the faults of the rows before
+            # a missing label, so the file is read as a table of one
+            # column, and the label's error raised only if that succeeds.
             missing_label, features = exc, [0]
-        else:
-            # A column load stands for the whole file, and a labeled file
-            # with fewer than two feature columns fails the whole-file
-            # check, which needs the table the per-cell parse gives.
-            if features is not None and len(header) < 3:
-                return None
+    if label_idx is not None and features is not None and len(header) < 3:
+        return None
     rows = sum(line_range[3] for line_range in ranges)
     if not rows:
         return None
@@ -399,12 +367,7 @@ def _parse_json_blocks(
     else:
         table = np.empty(shape)
     task = partial(_parse_range, path, table, len(header), columns, label_slot)
-    counts = list(fork_map(task, ranges, len(ranges)))
-    if None in counts:
-        return None
-    carriage_returns, crlf, newlines = map(sum, zip(*counts))
-    # csv ends a row at a lone CR, which JSON reads as a space.
-    if carriage_returns and not carriage_returns == crlf == newlines:
+    if not all(fork_map(task, ranges, len(ranges))):
         return None
     if missing_label is not None:
         raise missing_label
@@ -421,24 +384,16 @@ def _load_table(
     path, label_column, jobs, features=None
 ) -> tuple[list[str], np.ndarray, int | None]:
     """Header names, a value table and the label's column index (None
-    when ``label_column`` is None).  Row N in an error is the Nth data row
-    below the header.  ``jobs`` caps the processes of the orjson stage.
+    without ``label_column``), as :func:`load_csv` and
+    :func:`load_matrix_csv` lay them out.
 
-    The table holds every column, or with ``features`` only those feature
-    columns and then the label, as :func:`_table_columns` lays them out.
-    A table of some columns must still stand for the whole file, so a
-    file that gives one is checked whole first, as
+    :func:`_parse_json_blocks` serves the file if it can vouch for it;
+    every cell it accepts is finite.  Any other file is parsed again cell
+    by cell by :func:`_parse_cells`, which loads it or raises its exact
+    error.  A table of some columns stands for the whole file, so the
+    per-cell table is first checked whole, as
     :func:`~ecnn.domain.require_valid_dataset` checks a labeled one and
     :func:`~ecnn.domain.require_finite_features` an unlabeled one.
-
-    :func:`_parse_json_blocks` serves the file when it can vouch for it,
-    blank lines at its end included; every cell it accepts is finite.  A
-    file it refuses, such as one with a blank line inside the body, a
-    ``.5``, ``+1`` or ``nan`` cell or an integer ``-0`` it cannot vouch
-    for, or whose labels are not all 0 or 1, is parsed again cell by cell
-    by :func:`_parse_cells`, which loads it or raises its exact error.
-    The orjson stage reads every file it accepts with the reference's
-    bits.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -467,17 +422,12 @@ def load_matrix_csv(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Parse a headed CSV where every column is a feature.
 
-    Returns the value matrix and the header names.  Useful for unlabeled
-    prediction inputs.  ``jobs`` is as for :func:`load_csv`; the matrix of
-    a file parsed by several workers lives in a shared ``mmap`` that goes
-    when the matrix does.
-
-    ``features``, a list of 0-based column indices, keeps only those
-    columns in the matrix, in that order; a column the file lacks reads
-    NaN.  The names stay the whole header, so ``len(names)`` is the
-    file's width.  Every cell is still parsed, and the whole file is
-    checked as :func:`~ecnn.domain.require_finite_features` would check
-    its full matrix, so a fault in a dropped column still raises.
+    Returns the value matrix and the header names; useful for unlabeled
+    prediction inputs.  ``jobs`` is as for :func:`load_csv`; a matrix
+    parsed by several workers lives in a shared ``mmap`` that goes when
+    the matrix does.  ``features``, a list of 0-based column indices,
+    keeps only those columns, as for :func:`load_csv`, and the names stay
+    the whole header, so ``len(names)`` is the file's width.
     """
     header, table, _ = _load_table(path, None, jobs, features)
     return table, tuple(header)
@@ -490,26 +440,24 @@ def load_csv(
 
     ``label_column`` is a header name or a 0-based column index.  Labels
     must parse as exactly 0 or 1, and a ``-0`` label reads as 0; every
-    other column becomes a feature in file order.
+    other column becomes a feature in file order.  Every cell reads as
+    ``float()`` reads it.  Row N in an error is the Nth data row below
+    the header.  Files are read by a fast stage where it can vouch for
+    them and cell by cell otherwise, with the same bits; :func:`_load_table`
+    and the functions it calls state which files take which stage.
 
-    ``jobs`` caps the processes the file is parsed on.  A body the orjson
-    stage can read and of at least two times ``_MIN_WORKER_BYTES`` (8 MiB)
-    is split over up to ``jobs`` forked workers, one per 8 MiB at most;
-    smaller files, ``jobs == 1`` and every platform but Linux parse in this
-    process.  A file that stage refuses is parsed cell by cell in this
-    process.  The Dataset and every error are the same for every ``jobs``,
-    which is not capped at the CPU count.  A worker that dies raises
-    ``BrokenProcessPool``.
+    ``jobs`` caps the processes the file is parsed on, and is not capped
+    at the CPU count.  The Dataset and every error are the same for every
+    ``jobs``.  A large file may be parsed by forked workers on Linux, and
+    a worker that dies raises ``BrokenProcessPool``.
 
     ``features``, a list of 0-based feature indices (the label column not
     counted, as a model numbers them), asks for those columns alone, as
     scoring needs them.  The result is then ``(dataset, names)``: the
     Dataset holds only those columns, in that order and unnamed (a column
     the file lacks reads NaN), and ``names`` are all the file's feature
-    names, so ``len(names)`` is its feature count.  Every cell is still
-    parsed, and the whole file is checked as
-    :func:`~ecnn.domain.require_valid_dataset` would check its full
-    Dataset, so a fault in a dropped column still raises.
+    names.  Every cell is still parsed, and the whole file is checked, so
+    a fault in a dropped column still raises.
     """
     header, table, label_idx = _load_table(path, label_column, jobs, features)
     names = tuple(header[:label_idx] + header[label_idx + 1:])

@@ -58,6 +58,16 @@ def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _integer(owner, name: str) -> int:
+    """Store ``owner.name`` as a Python int: it must be an int or a numpy
+    integer, not a bool."""
+    value = getattr(owner, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(owner, name, int(value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A feature matrix with one binary target per row.
@@ -204,7 +214,7 @@ class PrevNeuron:
     layer: int
 
     def __post_init__(self):
-        if self.layer < 1:
+        if _integer(self, "layer") < 1:
             raise ValueError("referenced layer must be >= 1")
 
 
@@ -215,7 +225,7 @@ class Feature:
     column: int
 
     def __post_init__(self):
-        if self.column < 0:
+        if _integer(self, "column") < 0:
             raise ValueError("feature column must be >= 0")
 
 
@@ -242,7 +252,7 @@ class NeuronSpec:
         object.__setattr__(
             self, "weights", _frozen_array(self.weights, ndim=1, name="weights")
         )
-        if self.layer < 1:
+        if _integer(self, "layer") < 1:
             raise ValueError("layer must be >= 1")
         for src in self.wiring:
             if not isinstance(src, (PrevNeuron, Feature)):
@@ -372,7 +382,7 @@ class CascadeModel:
         object.__setattr__(self, "neurons", neurons)
         history = tuple(float(c) for c in self.criterion_history)
         object.__setattr__(self, "criterion_history", history)
-        object.__setattr__(self, "anchor_feature", int(self.anchor_feature))
+        _integer(self, "anchor_feature")
         if self.feature_names is not None:
             object.__setattr__(
                 self, "feature_names", tuple(str(s) for s in self.feature_names)
@@ -482,11 +492,11 @@ class TrainConfig:
             raise ValueError("chi must be positive and finite")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if self.max_fit_steps < 1:
+        if _integer(self, "max_fit_steps") < 1:
             raise ValueError("max_fit_steps must be >= 1")
-        if self.max_layers < 1:
+        if _integer(self, "max_layers") < 1:
             raise ValueError("max_layers must be >= 1")
-        if not 0 <= self.seed <= MAX_SEED:
+        if not 0 <= _integer(self, "seed") <= MAX_SEED:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0 <= self.init_sigma < math.inf:
             raise ValueError("init_sigma must be >= 0 and finite")

@@ -83,12 +83,21 @@ def _wiring_from_payload(entries) -> tuple:
     for entry in entries:
         kind = entry["kind"]
         if kind == "previous-neuron":
-            wiring.append(PrevNeuron(int(entry["layer"])))
+            wiring.append(PrevNeuron(entry["layer"]))
         elif kind == "feature":
-            wiring.append(Feature(int(entry["column"])))
+            wiring.append(Feature(entry["column"]))
         else:
             raise ModelFormatError(f"unknown wiring source kind {kind!r}")
     return tuple(wiring)
+
+
+def _numbers(payload, key) -> list:
+    """``payload[key]``, a list that holds no JSON string or boolean, which
+    a float conversion would read as a number."""
+    values = payload[key]
+    if not isinstance(values, list) or any(isinstance(v, (str, bool)) for v in values):
+        raise ValueError(f"{key} must be a list of numbers")
+    return values
 
 
 def payload_to_model(payload) -> tuple[CascadeModel, TrainConfig]:
@@ -103,9 +112,9 @@ def payload_to_model(payload) -> tuple[CascadeModel, TrainConfig]:
         config = TrainConfig(**{k: payload["config"][k] for k in _CONFIG_FIELDS})
         neurons = tuple(
             NeuronSpec(
-                layer=int(entry["layer"]),
+                layer=entry["layer"],
                 wiring=_wiring_from_payload(entry["wiring"]),
-                weights=entry["weights"],
+                weights=_numbers(entry, "weights"),
             )
             for entry in payload["neurons"]
         )
@@ -113,13 +122,13 @@ def payload_to_model(payload) -> tuple[CascadeModel, TrainConfig]:
         stats = (
             None
             if stats_payload is None
-            else FeatureStats(mean=stats_payload["mean"], std=stats_payload["std"])
+            else FeatureStats(_numbers(stats_payload, "mean"), _numbers(stats_payload, "std"))
         )
         names = payload["feature_names"]
         model = CascadeModel(
             neurons=neurons,
-            anchor_feature=int(payload["anchor_feature"]),
-            criterion_history=tuple(payload["criterion_history"]),
+            anchor_feature=payload["anchor_feature"],
+            criterion_history=tuple(_numbers(payload, "criterion_history")),
             normalization_stats=stats,
             feature_names=None if names is None else tuple(names),
         )

@@ -18,8 +18,10 @@ from ecnn import (
     NeuronSpec,
     PrevNeuron,
     TrainConfig,
+    dump_canonical_json,
     fit_neuron_from_init,
     init_weights,
+    model_to_payload,
     split_odd_even,
 )
 
@@ -145,6 +147,39 @@ def random_cascade(gen: np.random.Generator):
         advance_on_accept=bool(gen.random() < 0.5),
     )
     return model, config
+
+
+# Model-file fields set to a JSON value of the wrong type, which an int()
+# or float() conversion would read as a number: (path of keys, value).
+WRONGLY_TYPED_MODEL_FIELDS = [
+    (("neurons", 0, "layer"), 1.9),
+    (("neurons", 0, "wiring", 1, "column"), True),
+    (("anchor_feature",), "0"),
+    (("config", "seed"), 1.5),
+    (("config", "max_fit_steps"), 2.5),
+    (("config", "max_layers"), True),
+    (("neurons", 0, "weights", 0), "0.19"),
+    (("criterion_history", 0), "2.0"),
+    (("normalization", "mean", 0), True),
+    (("normalization", "std", 0), "3.0"),
+]
+
+
+def write_wrongly_typed_model(path, field, value):
+    """Save a one-neuron model with statistics to ``path`` with the field
+    at the path of keys ``field`` set to ``value``."""
+    model = build_cascade(
+        [np.array([0.1, -0.2, 0.3])], candidate_features=[1],
+        stats=FeatureStats(np.array([1.0, -2.0]), np.array([3.0, 0.5])),
+    )
+    payload = model_to_payload(model, TrainConfig())
+    *parents, last = field
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path.write_text(dump_canonical_json(payload), encoding="utf-8")
+    return path
 
 
 @pytest.fixture

@@ -13,7 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_cascade, count_pools, deadline, no_pool, traced_peak
+from conftest import (
+    WRONGLY_TYPED_MODEL_FIELDS,
+    build_cascade,
+    count_pools,
+    deadline,
+    no_pool,
+    traced_peak,
+    write_wrongly_typed_model,
+)
 
 from ecnn import (
     CascadeModel,
@@ -413,6 +421,18 @@ class TestPredict:
         assert code == 2
         assert "data error" in stderr
 
+    @pytest.mark.parametrize("field, value", WRONGLY_TYPED_MODEL_FIELDS, ids=repr)
+    def test_a_wrongly_typed_model_field_is_a_data_error(
+        self, tmp_path, capsys, field, value
+    ):
+        model = write_wrongly_typed_model(tmp_path / "m.ecnn", field, value)
+        data = self.data_csv(tmp_path, ["0.0,1.0"])
+        code, stdout, stderr = invoke(
+            capsys, "predict", "--model", str(model), "--data", str(data)
+        )
+        assert code == 2
+        assert "data error: invalid model content" in stderr and stdout == ""
+
 
 class TestEval:
     def test_perfect_model_scores_100(self, tmp_path, saved_model, capsys):
@@ -810,13 +830,23 @@ class TestReport:
         assert code == 2
         assert "data error" in stderr
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["train", "test"])
+    def test_a_non_finite_rate_is_a_data_error(self, tmp_path, capsys, rate, column):
+        rates = f"{rate},1.0" if column == "train" else f"1.0,{rate}"
+        path = self.summary_csv(tmp_path, ["0,10,1,0.2,0.4,0,ok", f"7,11,1,{rates},0,ok"])
+        code, stdout, stderr = invoke(capsys, "report", "--summary", str(path))
+        assert code == 2
+        assert f"data error: run 7: {column}_error_pct is {rate}" in stderr
+        assert stdout == ""
+
     def test_missing_file_is_a_data_error(self, tmp_path, capsys):
         code, _, stderr = invoke(
             capsys, "report", "--summary", str(tmp_path / "absent.csv")
         )
         assert code == 2
 
-    @pytest.mark.parametrize("width", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("width", ["0", "nan", "inf", "1e-320"])
     def test_non_positive_bin_is_a_usage_error(self, tmp_path, capsys, width):
         path = self.summary_csv(tmp_path, ["0,10,1,0.2,,0,ok"])
         code, _, stderr = invoke(

@@ -406,6 +406,26 @@ class TestTrainConfig:
         assert TrainConfig(init_sigma=0.0).init_sigma == 0.0
 
 
+INTEGER_FIELDS = {
+    "Feature.column": lambda value: Feature(value),
+    "PrevNeuron.layer": lambda value: PrevNeuron(value),
+    "NeuronSpec.layer": lambda value: NeuronSpec(value, (Feature(0),), [0.0, 1.0]),
+    "CascadeModel.anchor_feature": lambda value: CascadeModel(
+        (NeuronSpec(1, (Feature(1),), [0.0, 1.0]),), value, (1.0,)
+    ),
+    "TrainConfig.seed": lambda value: TrainConfig(seed=value),
+    "TrainConfig.max_fit_steps": lambda value: TrainConfig(max_fit_steps=value),
+    "TrainConfig.max_layers": lambda value: TrainConfig(max_layers=value),
+}
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_an_integer_field_refuses_a_non_integer_by_name(field, value):
+    with pytest.raises(ValueError, match=f"{field.split('.')[1]} must be an integer"):
+        INTEGER_FIELDS[field](value)
+
+
 class TestFeatureStats:
     def test_transform_centers_and_scales(self):
         stats = FeatureStats(mean=[1.0, 10.0], std=[2.0, 5.0])

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import WRONGLY_TYPED_MODEL_FIELDS, write_wrongly_typed_model
+
 from ecnn import (
     CascadeModel,
     FORMAT_VERSION,
@@ -16,6 +18,7 @@ from ecnn import (
     FeatureStats,
     ModelFormatError,
     NeuronSpec,
+    PrevNeuron,
     TrainConfig,
     dump_canonical_json,
     forward_batch,
@@ -183,5 +186,36 @@ class TestLoadFailures:
         payload = self.valid_payload(cascade_builder)
         payload["neurons"][0]["weights"] = [0.1]
         path = self.save_payload(tmp_path, payload)
+        with pytest.raises(ModelFormatError, match="invalid model content"):
+            load_model(path)
+
+
+class TestIntegerFields:
+    def test_a_model_wired_with_numpy_integers_round_trips(self, tmp_path):
+        def build(integer):
+            neurons = (
+                NeuronSpec(integer(1), (Feature(integer(2)), Feature(integer(0))),
+                           [0.1, -0.2, 0.3]),
+                NeuronSpec(integer(2), (PrevNeuron(integer(1)), Feature(integer(2)),
+                                        Feature(integer(1))), [0.5, 0.1, -0.1, 0.2]),
+            )
+            model = CascadeModel(neurons, integer(2), (3.0, 2.0, 1.0))
+            config = TrainConfig(max_fit_steps=integer(7), max_layers=integer(3),
+                                 seed=integer(11))
+            return model, config
+
+        model, config = build(np.int64)
+        assert type(model.anchor_feature) is type(config.seed) is int
+        assert type(model.neurons[1].wiring[0].layer) is int
+        paths = [tmp_path / name for name in ("numpy.ecnn", "reloaded.ecnn", "int.ecnn")]
+        save_model(paths[0], model, config)
+        save_model(paths[1], *load_model(paths[0]))
+        save_model(paths[2], *build(int))
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    @pytest.mark.parametrize("field, value", WRONGLY_TYPED_MODEL_FIELDS,
+                             ids=repr)
+    def test_a_wrongly_typed_field_is_refused(self, tmp_path, field, value):
+        path = write_wrongly_typed_model(tmp_path / "m.ecnn", field, value)
         with pytest.raises(ModelFormatError, match="invalid model content"):
             load_model(path)
