@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Union
@@ -68,6 +69,23 @@ def _integer(owner, name: str) -> int:
     return int(value)
 
 
+def _real(owner, name: str):
+    """``owner.name`` as given; it must be a real number, not a bool or str."""
+    value = getattr(owner, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _names(owner) -> None:
+    """Store ``owner.feature_names`` as a tuple of str unless it is None."""
+    names = owner.feature_names
+    if isinstance(names, str):
+        raise ValueError(f"feature_names must be a sequence of names, got {names!r}")
+    if names is not None:
+        object.__setattr__(owner, "feature_names", tuple(str(s) for s in names))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A feature matrix with one binary target per row.
@@ -97,13 +115,9 @@ class Dataset:
         object.__setattr__(
             self, "targets", _frozen_array(self.targets, ndim=1, name="targets")
         )
-        if self.feature_names is not None:
-            names = tuple(str(s) for s in self.feature_names)
-            if len(names) != self.features.shape[1]:
-                raise ValueError(
-                    f"{len(names)} feature names for {self.features.shape[1]} columns"
-                )
-            object.__setattr__(self, "feature_names", names)
+        _names(self)
+        if self.feature_names is not None and len(self.feature_names) != self.m:
+            raise ValueError(f"{len(self.feature_names)} feature names for {self.m} columns")
 
     @property
     def n(self) -> int:
@@ -383,10 +397,7 @@ class CascadeModel:
         history = tuple(float(c) for c in self.criterion_history)
         object.__setattr__(self, "criterion_history", history)
         _integer(self, "anchor_feature")
-        if self.feature_names is not None:
-            object.__setattr__(
-                self, "feature_names", tuple(str(s) for s in self.feature_names)
-            )
+        _names(self)
 
         if not neurons:
             raise ValueError("a model must contain at least one neuron")
@@ -488,9 +499,9 @@ class TrainConfig:
     advance_on_accept: bool = False
 
     def __post_init__(self):
-        if not 0 < self.chi < math.inf:
+        if not 0 < _real(self, "chi") < math.inf:
             raise ValueError("chi must be positive and finite")
-        if not 0 < self.delta < math.inf:
+        if not 0 < _real(self, "delta") < math.inf:
             raise ValueError("delta must be positive and finite")
         if _integer(self, "max_fit_steps") < 1:
             raise ValueError("max_fit_steps must be >= 1")
@@ -498,10 +509,12 @@ class TrainConfig:
             raise ValueError("max_layers must be >= 1")
         if not 0 <= _integer(self, "seed") <= MAX_SEED:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if not 0 <= self.init_sigma < math.inf:
+        if not 0 <= _real(self, "init_sigma") < math.inf:
             raise ValueError("init_sigma must be >= 0 and finite")
-        if not 0.0 < self.classification_threshold < 1.0:
+        if not 0.0 < _real(self, "classification_threshold") < 1.0:
             raise ValueError("classification_threshold must be inside (0, 1)")
+        if not isinstance(self.advance_on_accept, bool):
+            raise ValueError("advance_on_accept must be True or False")
 
 
 @dataclass(frozen=True)

@@ -85,18 +85,10 @@ def design_matrix(features, wiring, prior_outputs) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _residuals_into(out, weights, design, targets) -> np.ndarray:
-    """sigmoid(weights @ design) - targets, computed in place in ``out``."""
-    np.matmul(weights, design, out=out)
-    expit(out, out=out)
-    _clamp(out)
-    return np.subtract(out, targets, out=out)
-
-
 def _norm(r: np.ndarray) -> float:
     """Euclidean norm of a 1-D float vector, exactly as np.linalg.norm
     computes it (the square root of the dot product)."""
-    return math.sqrt(r @ r)
+    return math.sqrt(np.dot(r, r))
 
 
 def _projection_scale(inputs_a: np.ndarray, chi: float) -> float:
@@ -108,7 +100,7 @@ def _projection_scale(inputs_a: np.ndarray, chi: float) -> float:
 def _project(weights, inputs_a, residuals_a, scale: float) -> np.ndarray:
     """The projection step for a precomputed ``scale``.  The grouping
     fixes the rounding, so it is part of the model's bytes."""
-    return weights - scale * (inputs_a @ residuals_a)
+    return weights - scale * np.dot(inputs_a, residuals_a)
 
 
 def init_weights(p_plus_bias: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -175,11 +167,12 @@ def fit_neuron_from_init(
     step 1).  Stops when one step improves the validation error by less
     than ``config.delta``, first checked at step 2, or at
     ``config.max_fit_steps``.
+
+    The residuals live in one ``[B | A]`` buffer and take one sigmoid pass
+    per step, B alone at the cap; an earlier stop wastes the last A half.
     """
     U_A = design_matrix(split.set_a.features, wiring, prior_outputs_a)
     U_B = design_matrix(split.set_b.features, wiring, prior_outputs_b)
-    y_a = split.set_a.targets
-    y_b = split.set_b.targets
     w_cur = np.asarray(init, dtype=float)
     if w_cur.shape != (U_A.shape[0],):
         raise DataError(
@@ -188,19 +181,24 @@ def fit_neuron_from_init(
         )
     last = config.max_fit_steps
     scale = _projection_scale(U_A, config.chi)
-    residuals_a = np.empty(split.set_a.n)
-    residuals_b = np.empty(split.set_b.n)
-    w_prev = w_cur
-    prev_eb = np.inf
+    n_b = split.set_b.n
+    targets = np.concatenate((split.set_b.targets, split.set_a.targets))
+    residuals = np.empty(len(targets))
+    residuals_b, residuals_a = residuals[:n_b], residuals[n_b:]
+    w_prev, prev_eb = w_cur, np.inf
     trace: list[float] = []
     for k in range(1, last + 1):
-        eb = _norm(_residuals_into(residuals_b, w_cur, U_B, y_b))
+        live, y = (residuals, targets) if k < last else (residuals_b, targets[:n_b])
+        np.dot(w_cur, U_B, out=residuals_b)
+        if k < last:
+            np.dot(w_cur, U_A, out=residuals_a)
+        np.subtract(_clamp(expit(live, out=live)), y, out=live)
+        eb = _norm(residuals_b)
         trace.append(eb)
         if k >= 2 and prev_eb - eb < config.delta:
             final = w_prev if eb > prev_eb else w_cur
             return FitResult(final, trace)
         if k < last:
-            _residuals_into(residuals_a, w_cur, U_A, y_a)
             w_prev, prev_eb = w_cur, eb
             w_cur = _project(w_cur, U_A, residuals_a, scale)
     return FitResult(w_cur, trace)

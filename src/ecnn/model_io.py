@@ -124,13 +124,12 @@ def payload_to_model(payload) -> tuple[CascadeModel, TrainConfig]:
             if stats_payload is None
             else FeatureStats(_numbers(stats_payload, "mean"), _numbers(stats_payload, "std"))
         )
-        names = payload["feature_names"]
         model = CascadeModel(
             neurons=neurons,
             anchor_feature=payload["anchor_feature"],
             criterion_history=tuple(_numbers(payload, "criterion_history")),
             normalization_stats=stats,
-            feature_names=None if names is None else tuple(names),
+            feature_names=payload["feature_names"],
         )
     except ModelFormatError:
         raise

@@ -149,8 +149,9 @@ def random_cascade(gen: np.random.Generator):
     return model, config
 
 
-# Model-file fields set to a JSON value of the wrong type, which an int()
-# or float() conversion would read as a number: (path of keys, value).
+# Model-file fields set to a JSON value of the wrong type that a loose
+# reading would take: a bool or string as a number, a string as a flag or
+# as one name per character.  (path of keys, value).
 WRONGLY_TYPED_MODEL_FIELDS = [
     (("neurons", 0, "layer"), 1.9),
     (("neurons", 0, "wiring", 1, "column"), True),
@@ -162,6 +163,12 @@ WRONGLY_TYPED_MODEL_FIELDS = [
     (("criterion_history", 0), "2.0"),
     (("normalization", "mean", 0), True),
     (("normalization", "std", 0), "3.0"),
+    (("config", "chi"), True),
+    (("config", "delta"), True),
+    (("config", "init_sigma"), False),
+    (("config", "classification_threshold"), "0.5"),
+    (("config", "advance_on_accept"), "false"),
+    (("feature_names",), "ab"),
 ]
 
 

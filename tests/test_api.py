@@ -205,22 +205,38 @@ def declared_dependencies():
     }
 
 
-def top_level_imports(path):
+def absolute_imports(path):
+    """The dotted name of everything ``path`` imports by absolute path: a
+    module, or ``module.name`` for each name a from-import takes."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
     return names
+
+
+def third_party_imports():
+    imported = set().union(*(absolute_imports(path) for path in SOURCES))
+    local = set(sys.stdlib_module_names) | {"ecnn"}
+    return {name for name in imported if name.split(".")[0] not in local}
 
 
 class TestDependencies:
     def test_every_third_party_import_is_declared(self):
-        imported = set().union(*(top_level_imports(path) for path in SOURCES))
-        third_party = imported - set(sys.stdlib_module_names) - {"ecnn"}
+        third_party = {name.split(".")[0] for name in third_party_imports()}
         assert third_party  # the scan found the numeric stack
         assert sorted(third_party - declared_dependencies()) == []
+
+    def test_no_private_third_party_module_is_imported(self):
+        # A private module such as numpy._core moves between releases the
+        # declared version ranges admit (numpy 1.24 has no numpy._core).
+        private = [
+            name for name in third_party_imports()
+            if any(part.startswith("_") for part in name.split("."))
+        ]
+        assert private == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

@@ -91,6 +91,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="names"):
             Dataset([[1.0, 2.0]], [0.0], ("only_one",))
 
+    def test_a_bare_string_is_not_a_list_of_names(self):
+        with pytest.raises(ValueError, match="feature_names must be a sequence"):
+            Dataset([[1.0, 2.0]], [0.0], "ab")
+
     def test_rejects_non_2d_features(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             Dataset([1.0, 2.0], [0.0])
@@ -348,6 +352,10 @@ class TestCascadeModel:
         with pytest.raises(ValueError, match="column 2"):
             _two_layer_model(feature_names=("a", "b"))
 
+    def test_a_bare_string_is_not_a_list_of_names(self):
+        with pytest.raises(ValueError, match="feature_names must be a sequence"):
+            _two_layer_model(feature_names="abc")
+
     def test_stats_and_names_must_agree(self):
         stats = FeatureStats(np.zeros(4), np.ones(4))
         with pytest.raises(ValueError, match="disagree"):
@@ -404,6 +412,23 @@ class TestTrainConfig:
 
     def test_zero_init_sigma_is_allowed(self):
         assert TrainConfig(init_sigma=0.0).init_sigma == 0.0
+
+    @pytest.mark.parametrize("field", ["chi", "delta", "init_sigma",
+                                       "classification_threshold"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_a_real_field_refuses_a_non_number_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            TrainConfig(**{field: value})
+
+    def test_numbers_are_kept_as_given(self):
+        config = TrainConfig(chi=2, delta=np.float32(0.25), init_sigma=0)
+        assert type(config.chi) is int and type(config.init_sigma) is int
+        assert type(config.delta) is np.float32
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, np.True_])
+    def test_advance_on_accept_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="advance_on_accept must be True or False"):
+            TrainConfig(advance_on_accept=value)
 
 
 INTEGER_FIELDS = {

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from ecnn import (
     DataError,
@@ -24,6 +25,7 @@ from ecnn import (
     init_weights,
     sigmoid,
 )
+from ecnn import fitting
 from ecnn.fitting import _norm, _project, _projection_scale
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -387,3 +389,61 @@ class TestKernelEquivalence:
         assert result.eb_trace.tobytes() == np.asarray(trace).tobytes()
         assert result.criterion == criterion
         assert result.steps_taken == steps
+
+    @pytest.mark.parametrize("n_a, n_b, inputs", [
+        (1429, 1428, 3), (1429, 1428, 5), (14000, 13999, 4),
+    ])
+    def test_matches_reference_loop_at_bench_sizes(self, n_a, n_b, inputs):
+        # Long vectors take other BLAS paths than the drawn problems, and the
+        # A residuals start n_b doubles into the kernel's buffer.
+        split, wiring, prior_a, prior_b, init = layered_problem(n_a, n_b, inputs, 7)
+        config = TrainConfig(chi=0.5, delta=1e-300, max_fit_steps=100)
+        weights, _, steps, trace, cause = reference_fit(
+            split, wiring, prior_a, prior_b, init, config
+        )
+        assert (cause, steps) == ("cap", 100)
+        result = fit_neuron_from_init(split, wiring, prior_a, prior_b, init, config)
+        assert result.weights.tobytes() == weights.tobytes()
+        assert result.eb_trace.tobytes() == np.asarray(trace).tobytes()
+
+
+def layered_problem(n_a, n_b, inputs, seed):
+    """A split of two noisy linearly labelled halves and a layer-r wiring
+    of ``inputs`` = r + 1 sources, r - 1 of them prior outputs, as growth
+    fits them: (split, wiring, prior_a, prior_b, init)."""
+    gen = np.random.default_rng(seed)
+    layers = inputs - 2
+    wiring = tuple(PrevNeuron(r) for r in range(layers, 0, -1)) + (
+        Feature(0), Feature(3),
+    )
+
+    def half(n):
+        X = gen.normal(0.0, 1.0, (n, 4))
+        y = (X[:, 0] - X[:, 3] + gen.normal(0.0, 1.0, n) > 0).astype(float)
+        return Dataset(X, y), [gen.uniform(0.0, 1.0, n) for _ in range(layers)] or None
+
+    (set_a, prior_a), (set_b, prior_b) = half(n_a), half(n_b)
+    init = gen.normal(0.0, 1.0, inputs + 1)
+    return SplitAB(set_a, set_b), wiring, prior_a, prior_b, init
+
+
+class TestOneSigmoidPassPerStep:
+    """However a fit stops, each step it takes calls the sigmoid once."""
+
+    @pytest.mark.parametrize("cause, config", [
+        ("gain", TrainConfig(delta=0.05)),
+        ("cap", TrainConfig(chi=0.5, delta=1e-300, max_fit_steps=30)),
+        ("single", TrainConfig(max_fit_steps=1)),
+    ])
+    def test_each_step_calls_the_sigmoid_once(self, monkeypatch, cause, config):
+        problem = layered_problem(300, 200, 3, 11)
+        assert reference_fit(*problem, config)[4] == cause
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return expit(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "expit", counted)
+        result = fit_neuron_from_init(*problem, config)
+        assert len(calls) == result.steps_taken
