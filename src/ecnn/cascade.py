@@ -72,12 +72,11 @@ def forward_batch(
     return outputs, outputs[-1]
 
 
-def classify_batch(
-    model: CascadeModel, features, threshold: float = 0.5, width=None
-) -> np.ndarray:
-    """Vector of 0/1 labels for a batch of examples; ``features`` and
-    ``width`` are as for :func:`forward_batch`."""
-    _, final = forward_batch(model, features, width)
+def classify_batch(model: CascadeModel, features, threshold: float = 0.5) -> np.ndarray:
+    """Vector of 0/1 labels for a batch of whole-row examples, as
+    :func:`forward_batch` takes them without ``width``: 1 where the final
+    output is at or above ``threshold``."""
+    _, final = forward_batch(model, features)
     return (final >= threshold).astype(float)
 
 

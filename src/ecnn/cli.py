@@ -1,10 +1,10 @@
 """Command-line interface: train, predict, eval, synth, report.
 
-Exit codes: 0 success, 1 usage error, 2 data or model-file error,
-3 internal error.  Default output locations honor the ECNN_OUT_DIR
-environment variable; explicit --out paths are used as given.  Every
-command is deterministic: identical flags, seeds, and input files yield
-byte-identical outputs.
+Exit codes: 0 success, 1 usage error, 2 data or model-file error (an
+output that cannot be written included), 3 internal error.  Default
+output locations honor the ECNN_OUT_DIR environment variable; explicit
+--out paths are used as given.  Every command is deterministic:
+identical flags, seeds, and input files yield byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
+from collections import Counter
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cascade import classify_batch, forward_batch, used_features
+from .cascade import forward_batch, used_features
 from .data_io import (
     ZeroVarianceWarning,
     format_scores,
@@ -183,12 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_path(flag_value, default_name: str) -> Path:
-    if flag_value is not None:
-        path = Path(flag_value)
-    else:
-        path = Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _default_out(name: str) -> Path:
+    return Path(os.environ.get(OUT_DIR_ENV, "."), name)
+
+
+def _out_path(flag_value, default: Path | None = None) -> Path:
+    """The file an output is written to: ``flag_value`` as given, else
+    ``default``, with its parent directory made.  A directory, or a parent
+    that cannot be made, is a data error."""
+    path = Path(flag_value) if flag_value is not None else default
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(
+            f"cannot write {path}: cannot make directory {path.parent} ({exc.strerror})"
+        ) from None
     return path
 
 
@@ -229,18 +241,12 @@ def _write_summary_csv(path, summaries) -> None:
             ["run", "seed", "size", "train_error_pct", "test_error_pct",
              "features", "status"]
         )
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.run_index,
-                    s.seed,
-                    s.model_size,
-                    repr(s.train_error_pct),
-                    "" if math.isnan(s.test_error_pct) else repr(s.test_error_pct),
-                    ";".join(str(f) for f in s.selected_features),
-                    "ok",
-                ]
-            )
+        writer.writerows(
+            [s.run_index, s.seed, s.model_size, repr(s.train_error_pct),
+             "" if math.isnan(s.test_error_pct) else repr(s.test_error_pct),
+             ";".join(str(f) for f in s.selected_features), "ok"]
+            for s in summaries
+        )
 
 
 def _usable_cpus() -> int:
@@ -260,28 +266,23 @@ def cmd_train(args) -> int:
     if not 0.0 <= args.test_fraction < 1.0:
         raise UsageError("--test-fraction must be in [0, 1)")
     config = _config_from_args(args)
+    model_path = _out_path(args.out, _default_out("model.ecnn"))
+    summary_path = _out_path(
+        args.summary_out, model_path.with_name(model_path.stem + ".runs.csv")
+    )
     train, test, stats = _training_sets(args, config.seed, jobs)
     best_model, summaries = multi_run(train, test, config, args.runs, jobs)
     best = select_best(summaries)
     final_model = best_model.with_normalization(stats)
-
-    model_path = _out_path(args.out, "model.ecnn")
-    if args.summary_out is not None:
-        summary_path = Path(args.summary_out)
-        summary_path.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        summary_path = model_path.with_name(model_path.stem + ".runs.csv")
     save_model(model_path, final_model, config)
     _write_summary_csv(summary_path, summaries)
 
     names = final_model.feature_names
+    selected = ", ".join(_feature_label(c, names) for c in best.selected_features)
     print(f"runs completed: {len(summaries)} of {args.runs}")
     print(f"best run: {best.run_index} (seed {best.seed})")
     print(f"model size: {best.model_size} neuron(s)")
-    print(
-        "selected features: "
-        + ", ".join(_feature_label(c, names) for c in best.selected_features)
-    )
+    print(f"selected features: {selected}")
     print(f"train error: {_format_pct(best.train_error_pct)}")
     print(f"test error: {_format_pct(best.test_error_pct)}")
     print(f"model file: {model_path}")
@@ -325,44 +326,45 @@ def normalize_quietly(train: Dataset):
     return normalized, stats
 
 
-def cmd_predict(args) -> int:
+def _score(args):
+    """Score ``--data`` with ``--model``: the outputs, their labels
+    (``outputs >= threshold``) and the targets (None without ``--label``).
+    Errors come in order: model file, threshold, data, width."""
     model, config = load_model(args.model)
     threshold = _threshold(args.threshold, config)
-    jobs = _usable_cpus()
     # Only the model's columns are converted; the loaders check the rest.
-    columns = used_features(model)
+    jobs, columns = _usable_cpus(), used_features(model)
     if args.label is not None:
         data, names = load_csv(args.data, args.label, jobs=jobs, features=columns)
-        features = data.features
+        features, targets = data.features, data.targets
     else:
         features, names = load_matrix_csv(args.data, jobs=jobs, features=columns)
+        targets = None
     _, outputs = forward_batch(model, features, len(names))
-    text = format_scores(outputs, (outputs >= threshold).astype(int))
-    if args.out is not None:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
-        print(f"predictions: {out} ({len(outputs)} rows)")
-    else:
+    return outputs, outputs >= threshold, targets
+
+
+def cmd_predict(args) -> int:
+    outputs, labels, _ = _score(args)
+    text = format_scores(outputs, labels)
+    if args.out is None:
         sys.stdout.write(text)
+        return 0
+    out = _out_path(args.out)
+    out.write_text(text, encoding="utf-8")
+    print(f"predictions: {out} ({len(outputs)} rows)")
     return 0
 
 
 def cmd_eval(args) -> int:
-    model, config = load_model(args.model)
-    threshold = _threshold(args.threshold, config)
-    data, names = load_csv(
-        args.data, args.label, jobs=_usable_cpus(), features=used_features(model)
-    )
-    labels = classify_batch(model, data.features, threshold, len(names))
-    positives = data.targets == 1.0
-    predicted = labels == 1.0
+    _, predicted, targets = _score(args)
+    positives = targets == 1.0
     tp = int(np.count_nonzero(predicted & positives))
     fp = int(np.count_nonzero(predicted & ~positives))
     fn = int(np.count_nonzero(~predicted & positives))
     tn = int(np.count_nonzero(~predicted & ~positives))
-    err = 100.0 * (fp + fn) / data.n
-    print(f"examples: {data.n}")
+    err = 100.0 * (fp + fn) / len(targets)
+    print(f"examples: {len(targets)}")
     print(f"error rate: {err:.2f}%")
     print(f"accuracy: {100.0 - err:.2f}%")
     print(f"confusion: tp={tp} fn={fn} fp={fp} tn={tn}")
@@ -382,19 +384,10 @@ def cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    out = _out_path(args.out, "synth.csv")
+    out = _out_path(args.out, _default_out("synth.csv"))
+    truth_path = _out_path(out.with_name(out.stem + ".truth.json"))
     write_csv(out, data)
-    truth_path = out.with_name(out.stem + ".truth.json")
-    truth_payload = {
-        "n": args.n,
-        "m": args.m,
-        "seed": args.seed,
-        "relevant": list(truth.relevant),
-        "weights": list(truth.weights),
-        "threshold": truth.threshold,
-        "noise_sigma": truth.noise_sigma,
-        "prevalence": truth.prevalence,
-    }
+    truth_payload = dict(asdict(truth), n=args.n, m=args.m, seed=args.seed)
     truth_path.write_text(dump_canonical_json(truth_payload), encoding="utf-8")
     positives = int(np.count_nonzero(data.targets))
     print(f"dataset: {out} ({data.n} examples, {data.m} features)")
@@ -404,10 +397,7 @@ def cmd_synth(args) -> int:
 
 
 def _histogram(values, bin_width: float) -> list[tuple[float, float, int]]:
-    counts: dict[int, int] = {}
-    for v in values:
-        bucket = int(math.floor(v / bin_width))
-        counts[bucket] = counts.get(bucket, 0) + 1
+    counts = Counter(int(math.floor(v / bin_width)) for v in values)
     return [
         (bucket * bin_width, (bucket + 1) * bin_width, counts[bucket])
         for bucket in sorted(counts)
@@ -454,11 +444,8 @@ def cmd_report(args) -> int:
     print()
     print("model sizes")
     print("size,count")
-    size_counts: dict[int, int] = {}
-    for size in sizes:
-        size_counts[size] = size_counts.get(size, 0) + 1
-    for size in sorted(size_counts):
-        print(f"{size},{size_counts[size]}")
+    for size, count in sorted(Counter(sizes).items()):
+        print(f"{size},{count}")
     for title, values in (("train", train_errors), ("test", test_errors)):
         print()
         if not values:
@@ -473,13 +460,8 @@ def cmd_report(args) -> int:
 
 def run(argv=None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from .domain import (
     Dataset,
     FeatureStats,
     SplitAB,
+    _require_binary_targets,
     require_finite_features,
     require_valid_dataset,
 )
@@ -572,12 +573,13 @@ def split_odd_even(train: Dataset) -> SplitAB:
     """Fitting/validation split by position: 1st, 3rd, 5th ... example to
     the fitting side, 2nd, 4th, 6th ... to the validation side.
 
-    Growth needs finite features, so they are checked here, with rows
-    numbered as in ``train``.
+    Growth needs finite features and 0/1 targets, so they are checked
+    here, with rows numbered as in ``train``.
     """
     if train.n < 2:
         raise DataError("splitting needs at least two examples")
     require_finite_features(train.features)
+    _require_binary_targets(train)
     return SplitAB(
         set_a=train.take(np.arange(0, train.n, 2)),
         set_b=train.take(np.arange(1, train.n, 2)),

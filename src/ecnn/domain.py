@@ -156,14 +156,16 @@ def _violations(d: Dataset) -> tuple[Iterator[str], int]:
         )
     if d.m < 2:
         head.append("at least two features required")
-    bad_targets = np.flatnonzero((d.targets != 0.0) & (d.targets != 1.0))
+    targets, bad_targets = _target_messages(d.targets)
     bad_cells = ~np.isfinite(d.features)
-    messages = itertools.chain(
-        head,
-        (f"non-binary target at row {int(i) + 1}" for i in bad_targets),
-        _cell_messages(bad_cells),
-    )
-    return messages, len(head) + len(bad_targets) + int(np.count_nonzero(bad_cells))
+    messages = itertools.chain(head, targets, _cell_messages(bad_cells))
+    return messages, len(head) + bad_targets + int(np.count_nonzero(bad_cells))
+
+
+def _target_messages(targets: np.ndarray) -> tuple[Iterator[str], int]:
+    """One message per target other than 0 and 1, lazily, plus their count."""
+    bad = np.flatnonzero((targets != 0.0) & (targets != 1.0))
+    return (f"non-binary target at row {int(i) + 1}" for i in bad), len(bad)
 
 
 def _raise_bounded(what: str, messages: Iterator[str], total: int) -> None:
@@ -187,6 +189,12 @@ def require_valid_dataset(d: Dataset) -> None:
     and then the total, so it stays small on huge bad inputs.
     """
     _raise_bounded("invalid dataset", *_violations(d))
+
+
+def _require_binary_targets(d: Dataset) -> None:
+    """Raise :class:`DataError` naming the targets of ``d`` other than 0
+    and 1, as :func:`require_valid_dataset` does, at any width."""
+    _raise_bounded("invalid dataset", *_target_messages(d.targets))
 
 
 def require_finite_features(features) -> None:

@@ -29,6 +29,7 @@ from .domain import (
     PrevNeuron,
     SplitAB,
     TrainConfig,
+    _require_binary_targets,
 )
 from .errors import DataError
 from .fitting import (
@@ -259,10 +260,11 @@ def multi_run(
     All runs share the same odd/even fitting/validation split of ``train``;
     only the weight-initialization stream differs, seeded per run from
     ``config.seed``.  Train and test data are used exactly as given, so
-    normalize beforehand if normalization is wanted.  Every restart grows
-    a model, and an error inside one propagates.  Returns the model with
-    minimal training error (ties: smaller model, then lower run index)
-    plus one summary per run in run order.
+    normalize beforehand if normalization is wanted; both need 0/1
+    targets.  Every restart grows a model, and an error inside one
+    propagates.  Returns the model with minimal training error (ties:
+    smaller model, then lower run index) plus one summary per run in run
+    order.
 
     ``jobs`` caps the processes the restarts run in.  With ``jobs == 1``,
     a single run, or on any platform but Linux, every restart runs in this
@@ -276,10 +278,12 @@ def multi_run(
         raise ValueError("runs must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if test is not None and test.m != train.m:
-        raise DataError(
-            f"train and test disagree on feature count: {train.m} vs {test.m}"
-        )
+    if test is not None:
+        if test.m != train.m:
+            raise DataError(
+                f"train and test disagree on feature count: {train.m} vs {test.m}"
+            )
+        _require_binary_targets(test)
     # Workers inherit the data and split; only run indices go out and only
     # (summary, model) pairs come back.
     restart = partial(_restart, train, test, config, split_odd_even(train))

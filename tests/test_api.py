@@ -239,6 +239,28 @@ class TestDependencies:
         assert private == []
 
 
+def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
+    # Under the repo's warnings-as-errors filter, hypothesis's failure report
+    # imports a module that warns; unfiltered, pytest stops with INTERNALERROR.
+    pytest.importorskip("hypothesis")
+    test = tmp_path / "test_fails.py"
+    test.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n",
+        encoding="utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", str(test)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,6 @@ from ecnn import (
 from ecnn.cli import OUT_DIR_ENV, build_parser, run
 
 import ecnn
-import ecnn.cascade
 import ecnn.cli
 import ecnn.data_io
 import ecnn.evolve
@@ -451,13 +452,13 @@ class TestEval:
     def test_runs_the_forward_pass_once(self, tmp_path, saved_model, capsys,
                                         monkeypatch):
         calls = []
-        original = ecnn.cascade.forward_batch
+        original = ecnn.cli.forward_batch
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(ecnn.cascade, "forward_batch", counted)
+        monkeypatch.setattr(ecnn.cli, "forward_batch", counted)
         data = tmp_path / "d.csv"
         data.write_text("x0,x1,y\n0.0,-2.0,1\n0.0,2.0,1\n", encoding="utf-8")
         code, stdout, _ = invoke(
@@ -723,8 +724,6 @@ class TestScoringReadsTheModelsColumns:
 
         for name in ("load_csv", "load_matrix_csv", "forward_batch"):
             monkeypatch.setattr(ecnn.cli, name, recorded(name, getattr(ecnn.cli, name)))
-        monkeypatch.setattr(ecnn.cascade, "forward_batch",
-                            recorded("forward_batch", ecnn.cascade.forward_batch))
         data = tmp_path / "d.csv"
         data.write_text("x0,x1,y\n0.0,-2.0,1\n0.0,2.0,1\n0.5,0.0,0\n", encoding="utf-8")
         code, _, _ = invoke(capsys, *command, "--model", str(saved_model),
@@ -737,6 +736,70 @@ class TestScoringReadsTheModelsColumns:
             "load_matrix_csv" if "--label" not in command else "load_csv"
         ]
         assert [len(args[1]) for args in passes] == [3]
+
+
+class TestOutputPaths:
+    """An output the CLI cannot write is a data error that names it, found
+    before train loads or trains anything, and nothing is written."""
+
+    FLAGS = [("synth", "--out"), ("train", "--out"), ("train", "--summary-out"),
+             ("predict", "--out")]
+
+    @pytest.mark.parametrize("blocked", ["directory", "file-parent"])
+    @pytest.mark.parametrize("command, flag", FLAGS)
+    def test_is_a_data_error_and_writes_nothing(
+        self, tmp_path, train_csv, saved_model, capsys, monkeypatch,
+        command, flag, blocked,
+    ):
+        def untouched(*args, **kwargs):
+            raise AssertionError("train went on past its output paths")
+
+        monkeypatch.setattr(ecnn.cli, "load_csv", untouched)
+        monkeypatch.setattr(ecnn.cli, "multi_run", untouched)
+        argv = {
+            "synth": ["synth", "--n", "20", "--m", "3", "--relevant", "0"],
+            "train": ["train", "--data", str(train_csv), "--label", "y",
+                      "--runs", "1", "--out", str(tmp_path / "model.ecnn")],
+            "predict": ["predict", "--model", str(saved_model),
+                        "--data", str(train_csv)],
+        }[command]
+        if blocked == "directory":
+            target = tmp_path / "taken"
+            target.mkdir()
+            want = f"data error: cannot write {target}: it is a directory\n"
+        else:
+            (tmp_path / "blocker").write_text("", encoding="utf-8")
+            target = tmp_path / "blocker" / "out.csv"
+            want = f"data error: cannot write {target}: cannot make directory "
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, stderr = invoke(capsys, *argv, flag, str(target))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(want)
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestPredictAndEvalAgree:
+    @pytest.mark.parametrize("threshold", [[], ["--threshold", "0.3"]], ids=repr)
+    def test_eval_counts_the_labels_predict_writes(
+        self, tmp_path, train_csv, capsys, threshold
+    ):
+        model, scores = tmp_path / "m.ecnn", tmp_path / "scores.csv"
+        assert invoke(capsys, "train", "--data", str(train_csv), "--label", "y",
+                      "--runs", "2", "--out", str(model))[0] == 0
+        common = ["--model", str(model), "--data", str(train_csv), "--label", "y",
+                  *threshold]
+        assert invoke(capsys, "predict", *common, "--out", str(scores))[0] == 0
+        code, stdout, _ = invoke(capsys, "eval", *common)
+        assert code == 0
+        with open(scores, encoding="utf-8") as handle:
+            labels = [int(row["label"]) for row in csv.DictReader(handle)]
+        with open(train_csv, encoding="utf-8") as handle:
+            targets = [int(float(row["y"])) for row in csv.DictReader(handle)]
+        pairs = Counter(zip(labels, targets))
+        assert 0 < pairs[1, 0] + pairs[0, 1] < len(targets)
+        want = (f"confusion: tp={pairs[1, 1]} fn={pairs[0, 1]} "
+                f"fp={pairs[1, 0]} tn={pairs[0, 0]}")
+        assert want in stdout.splitlines()
 
 
 class TestModuleEntryPoints:

@@ -413,6 +413,12 @@ class TestSplitOddEven:
         with pytest.raises(DataError, match="two examples"):
             split_odd_even(data)
 
+    def test_a_target_other_than_0_or_1_raises_at_its_row(self):
+        data = Dataset(np.zeros((4, 1)), np.array([0.0, 1.0, 0.5, 1.0]))
+        with pytest.raises(DataError,
+                           match="^invalid dataset: non-binary target at row 3$"):
+            split_odd_even(data)
+
     def test_sets_partition_the_source_in_order(self):
         n = 9
         data = Dataset(np.arange(n * 2, dtype=float).reshape(n, 2),

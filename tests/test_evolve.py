@@ -526,6 +526,24 @@ class TestMultiRun:
         with pytest.raises(DataError, match=message):
             split_odd_even(data)
 
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_a_target_other_than_0_or_1_raises_at_its_row(self, side):
+        data, _ = synth_dataset(200, 4, (1,), 0.3, 1)
+        twos = Dataset(data.features, 2.0 * data.targets)
+        first = int(np.flatnonzero(twos.targets == 2.0)[0]) + 1
+        message = (rf"^invalid dataset \(\d+ violations\): "
+                   rf"non-binary target at row {first}; .* more$")
+        train, test = (twos, data) if side == "train" else (data, twos)
+        with pytest.raises(DataError, match=message):
+            multi_run(train, test, TrainConfig(), runs=1)
+
+    def test_one_feature_trains(self):
+        wide, _ = synth_dataset(60, 2, (0,), 0.3, 1)
+        data = Dataset(wide.features[:, :1], wide.targets)
+        model, summaries = multi_run(data, data, TrainConfig(seed=2), runs=1)
+        assert used_features(model) == (0,)
+        assert summaries[0].train_error_pct == summaries[0].test_error_pct
+
     def test_feature_count_mismatch_raises(self, small_dataset):
         wider = Dataset(np.zeros((4, 5)), np.zeros(4))
         with pytest.raises(DataError, match="feature count"):

@@ -1,7 +1,8 @@
 """Golden bytes: the acceptance pipeline must reproduce its recorded artifacts.
 
 The digests in ``golden_digests.json`` pin the exact bytes of the model
-file, the run summary and the scores.  A change that alters numerics on
+file, the run summary, the scores, synth's ground-truth sidecar and what
+``eval`` prints.  A change that alters numerics on
 purpose re-records them and says why in CHANGES.md; any other change
 must leave them untouched.
 """
@@ -30,9 +31,14 @@ def test_acceptance_pipeline_reproduces_golden_bytes(tmp_path, capsys):
     assert run(["predict", "--model", str(model), "--data", str(data),
                 "--label", "y", "--out", str(scores)]) == 0
     capsys.readouterr()
+    assert run(["eval", "--model", str(model), "--data", str(data), "--label", "y"]) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("synth.csv", "model.ecnn", "model.runs.csv", "scores.csv")
+        for name in ("synth.csv", "model.ecnn", "model.runs.csv", "scores.csv",
+                     "synth.truth.json")
     }
+    digests["eval.stdout"] = hashlib.sha256(
+        capsys.readouterr().out.encode("utf-8")
+    ).hexdigest()
     expected = {name: GOLDEN[name] for name in digests}
     assert digests == expected
