@@ -21,7 +21,6 @@ from .cascade import (
 )
 from .data_io import (
     SynthTruth,
-    ZeroVarianceWarning,
     load_csv,
     load_matrix_csv,
     normalize,
@@ -121,7 +120,6 @@ __all__ = [
     "select_best",
     "multi_run",
     # data io
-    "ZeroVarianceWarning",
     "SynthTruth",
     "load_csv",
     "load_matrix_csv",

@@ -68,7 +68,9 @@ def forward_batch(
         # The bias is added apart from the product: folding it into
         # ``weights @ U`` as fitting does changes the last bits of scores.
         U = design_matrix(X, wiring, outputs[:idx])
-        outputs[idx] = sigmoid(neuron.weights[0] + neuron.weights[1:] @ U[1:])
+        # A huge finite weight overflows to inf, which the clamp saturates.
+        with np.errstate(over="ignore"):
+            outputs[idx] = sigmoid(neuron.weights[0] + neuron.weights[1:] @ U[1:])
     return outputs, outputs[-1]
 
 

@@ -10,11 +10,11 @@ identical flags, seeds, and input files yield byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
 import sys
-import warnings
 from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .cascade import forward_batch, used_features
 from .data_io import (
-    ZeroVarianceWarning,
     format_scores,
     load_csv,
     load_matrix_csv,
@@ -204,6 +203,15 @@ def _out_path(flag_value, default: Path | None = None) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _writing(name):
+    """A failed write to ``name``, a path or standard output, is a data error."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {name}: {exc.strerror}") from None
+
+
 def _config_from_args(args) -> TrainConfig:
     try:
         return TrainConfig(
@@ -256,7 +264,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> str:
     if args.runs < 1:
         raise UsageError("--runs must be >= 1")
     usable = _usable_cpus()
@@ -274,20 +282,23 @@ def cmd_train(args) -> int:
     best_model, summaries = multi_run(train, test, config, args.runs, jobs)
     best = select_best(summaries)
     final_model = best_model.with_normalization(stats)
-    save_model(model_path, final_model, config)
-    _write_summary_csv(summary_path, summaries)
+    with _writing(model_path):
+        save_model(model_path, final_model, config)
+    with _writing(summary_path):
+        _write_summary_csv(summary_path, summaries)
 
     names = final_model.feature_names
     selected = ", ".join(_feature_label(c, names) for c in best.selected_features)
-    print(f"runs completed: {len(summaries)} of {args.runs}")
-    print(f"best run: {best.run_index} (seed {best.seed})")
-    print(f"model size: {best.model_size} neuron(s)")
-    print(f"selected features: {selected}")
-    print(f"train error: {_format_pct(best.train_error_pct)}")
-    print(f"test error: {_format_pct(best.test_error_pct)}")
-    print(f"model file: {model_path}")
-    print(f"run summary: {summary_path}")
-    return 0
+    return (
+        f"runs completed: {len(summaries)} of {args.runs}\n"
+        f"best run: {best.run_index} (seed {best.seed})\n"
+        f"model size: {best.model_size} neuron(s)\n"
+        f"selected features: {selected}\n"
+        f"train error: {_format_pct(best.train_error_pct)}\n"
+        f"test error: {_format_pct(best.test_error_pct)}\n"
+        f"model file: {model_path}\n"
+        f"run summary: {summary_path}\n"
+    )
 
 
 def _training_sets(args, seed: int, jobs: int):
@@ -308,22 +319,15 @@ def _training_sets(args, seed: int, jobs: int):
     else:
         train, test = data, None
     del data
-    train, stats = normalize_quietly(train)
+    train, stats = normalize(train)
+    if stats.constant_columns:
+        print("note: zero-variance feature columns mapped to 0:",
+              list(stats.constant_columns), file=sys.stderr)
     if test is not None:
         features = stats.transform(test.features)
         features.flags.writeable = False
         test = Dataset(features, test.targets, test.feature_names)
     return train, test, stats
-
-
-def normalize_quietly(train: Dataset):
-    """Normalize, reporting constant columns on stderr instead of warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ZeroVarianceWarning)
-        normalized, stats = normalize(train)
-    for warning in caught:
-        print(f"note: {warning.message}", file=sys.stderr)
-    return normalized, stats
 
 
 def _score(args):
@@ -344,19 +348,18 @@ def _score(args):
     return outputs, outputs >= threshold, targets
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> str:
     outputs, labels, _ = _score(args)
     text = format_scores(outputs, labels)
     if args.out is None:
-        sys.stdout.write(text)
-        return 0
+        return text
     out = _out_path(args.out)
-    out.write_text(text, encoding="utf-8")
-    print(f"predictions: {out} ({len(outputs)} rows)")
-    return 0
+    with _writing(out):
+        out.write_text(text, encoding="utf-8")
+    return f"predictions: {out} ({len(outputs)} rows)\n"
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> str:
     _, predicted, targets = _score(args)
     positives = targets == 1.0
     tp = int(np.count_nonzero(predicted & positives))
@@ -364,14 +367,15 @@ def cmd_eval(args) -> int:
     fn = int(np.count_nonzero(~predicted & positives))
     tn = int(np.count_nonzero(~predicted & ~positives))
     err = 100.0 * (fp + fn) / len(targets)
-    print(f"examples: {len(targets)}")
-    print(f"error rate: {err:.2f}%")
-    print(f"accuracy: {100.0 - err:.2f}%")
-    print(f"confusion: tp={tp} fn={fn} fp={fp} tn={tn}")
-    return 0
+    return (
+        f"examples: {len(targets)}\n"
+        f"error rate: {err:.2f}%\n"
+        f"accuracy: {100.0 - err:.2f}%\n"
+        f"confusion: tp={tp} fn={fn} fp={fp} tn={tn}\n"
+    )
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> str:
     try:
         relevant = [int(part) for part in args.relevant.split(",") if part.strip()]
     except ValueError:
@@ -386,14 +390,17 @@ def cmd_synth(args) -> int:
         raise UsageError(str(exc)) from None
     out = _out_path(args.out, _default_out("synth.csv"))
     truth_path = _out_path(out.with_name(out.stem + ".truth.json"))
-    write_csv(out, data)
+    with _writing(out):
+        write_csv(out, data)
     truth_payload = dict(asdict(truth), n=args.n, m=args.m, seed=args.seed)
-    truth_path.write_text(dump_canonical_json(truth_payload), encoding="utf-8")
+    with _writing(truth_path):
+        truth_path.write_text(dump_canonical_json(truth_payload), encoding="utf-8")
     positives = int(np.count_nonzero(data.targets))
-    print(f"dataset: {out} ({data.n} examples, {data.m} features)")
-    print(f"ground truth: {truth_path}")
-    print(f"positives: {positives} ({100.0 * positives / data.n:.1f}%)")
-    return 0
+    return (
+        f"dataset: {out} ({data.n} examples, {data.m} features)\n"
+        f"ground truth: {truth_path}\n"
+        f"positives: {positives} ({100.0 * positives / data.n:.1f}%)\n"
+    )
 
 
 def _histogram(values, bin_width: float) -> list[tuple[float, float, int]]:
@@ -415,7 +422,7 @@ def _rates(rows, column: str) -> list[float]:
     return rates
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> str:
     if not 0 < args.bin < math.inf:
         raise UsageError("--bin must be positive and finite")
     try:
@@ -440,29 +447,28 @@ def cmd_report(args) -> int:
         raise UsageError(f"--bin {args.bin:g} is too narrow for error rate {largest:g}")
 
     failed = len(rows) - len(ok_rows)
-    print(f"runs: {len(rows)} ({len(ok_rows)} ok, {failed} failed)")
-    print()
-    print("model sizes")
-    print("size,count")
-    for size, count in sorted(Counter(sizes).items()):
-        print(f"{size},{count}")
+    lines = [f"runs: {len(rows)} ({len(ok_rows)} ok, {failed} failed)", "",
+             "model sizes", "size,count"]
+    lines += [f"{size},{count}" for size, count in sorted(Counter(sizes).items())]
     for title, values in (("train", train_errors), ("test", test_errors)):
-        print()
-        if not values:
-            print(f"{title} error rates: none recorded")
-            continue
-        print(f"{title} error rates (bin width {args.bin:g})")
-        print("bin_start,bin_end,count")
-        for start, end, count in _histogram(values, args.bin):
-            print(f"{start:g},{end:g},{count}")
-    return 0
+        if values:
+            lines += ["", f"{title} error rates (bin width {args.bin:g})",
+                      "bin_start,bin_end,count"]
+            lines += [f"{a:g},{b:g},{n}" for a, b, n in _histogram(values, args.bin)]
+        else:
+            lines += ["", f"{title} error rates: none recorded"]
+    return "\n".join(lines) + "\n"
 
 
 def run(argv=None) -> int:
     """Entry point; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        text = args.func(args)  # each command returns what it prints
+        with _writing("standard output"):
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

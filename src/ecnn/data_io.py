@@ -12,7 +12,6 @@ import csv
 import mmap
 import operator
 import os
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -32,7 +31,6 @@ from .domain import (
 from .errors import DataError
 
 __all__ = [
-    "ZeroVarianceWarning",
     "SynthTruth",
     "load_csv",
     "load_matrix_csv",
@@ -43,11 +41,6 @@ __all__ = [
     "split_train_test",
     "synth_dataset",
 ]
-
-
-class ZeroVarianceWarning(UserWarning):
-    """A feature column was constant on the training data and will carry
-    no information after normalization."""
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -549,20 +542,14 @@ def normalize(train: Dataset) -> tuple[Dataset, FeatureStats]:
 
     Statistics come from (and should only ever come from) training data;
     apply the returned stats to held-out data at evaluation time.
-    Zero-variance columns map to 0 and are reported with a warning.
+    Zero-variance columns map to 0; the returned stats list them in
+    ``FeatureStats.constant_columns``.
     """
     if train.n < 2:
         raise DataError("normalization needs at least two examples")
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0, ddof=1)
     stats = FeatureStats(mean=mean, std=std)
-    constant = stats.constant_columns
-    if constant:
-        warnings.warn(
-            f"zero-variance feature columns mapped to 0: {list(constant)}",
-            ZeroVarianceWarning,
-            stacklevel=2,
-        )
     # The transform is a new array; frozen, the Dataset takes it as is.
     features = stats.transform(train.features)
     features.flags.writeable = False

@@ -30,6 +30,7 @@ from .domain import (
     SplitAB,
     TrainConfig,
     _require_binary_targets,
+    require_finite_features,
 )
 from .errors import DataError
 from .fitting import (
@@ -260,11 +261,11 @@ def multi_run(
     All runs share the same odd/even fitting/validation split of ``train``;
     only the weight-initialization stream differs, seeded per run from
     ``config.seed``.  Train and test data are used exactly as given, so
-    normalize beforehand if normalization is wanted; both need 0/1
-    targets.  Every restart grows a model, and an error inside one
-    propagates.  Returns the model with minimal training error (ties:
-    smaller model, then lower run index) plus one summary per run in run
-    order.
+    normalize beforehand if normalization is wanted; both need finite
+    features and 0/1 targets.  Every restart grows a model, and an error
+    inside one propagates.  Returns the model with minimal training error
+    (ties: smaller model, then lower run index) plus one summary per run
+    in run order.
 
     ``jobs`` caps the processes the restarts run in.  With ``jobs == 1``,
     a single run, or on any platform but Linux, every restart runs in this
@@ -283,6 +284,7 @@ def multi_run(
             raise DataError(
                 f"train and test disagree on feature count: {train.m} vs {test.m}"
             )
+        require_finite_features(test.features)
         _require_binary_targets(test)
     # Workers inherit the data and split; only run indices go out and only
     # (summary, model) pairs come back.

@@ -63,7 +63,6 @@ PUBLIC_API = [
     "select_best",
     "multi_run",
     # data io
-    "ZeroVarianceWarning",
     "SynthTruth",
     "load_csv",
     "load_matrix_csv",
@@ -268,7 +267,7 @@ def test_demo_runs(demo, tmp_path):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
-    assert result.returncode == 0, result.stderr
+    assert (result.returncode, result.stderr) == (0, "")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -68,6 +69,18 @@ class TestForward:
         model = build_cascade([[0.0, 200.0, 200.0]], [1])
         _, final = forward_batch(model, [[1e6, 1e6], [-1e6, -1e6]])
         np.testing.assert_array_equal(final, [1.0 - SIGMOID_CLAMP, SIGMOID_CLAMP])
+
+    def test_a_huge_finite_weight_scores_as_without_the_overflow_guard(
+        self, monkeypatch
+    ):
+        # Tier-1 makes warnings errors, so the first call checks there is none.
+        model = build_cascade([[0.0, 1e308, 1e308], [0.5, 1e308, -1.0, 2.0]], [1, 1])
+        X = [[3.0, 0.5], [-2.0, -0.5], [0.0, 0.0], [1e-300, 1.0]]
+        outputs, _ = forward_batch(model, X)
+        monkeypatch.setattr(np, "errstate", lambda **kwargs: contextlib.nullcontext())
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            unguarded, _ = forward_batch(model, X)
+        np.testing.assert_array_equal(outputs, unguarded)
 
     def test_too_few_columns_raises(self):
         model = build_cascade([np.zeros(3)], [1])

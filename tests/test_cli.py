@@ -6,6 +6,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -50,12 +51,24 @@ USABLE_CPUS = ecnn.cli._usable_cpus()
 needs_two_cpus = pytest.mark.skipif(
     USABLE_CPUS < 2, reason="--jobs 2 needs two usable CPUs"
 )
+FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not FULL.exists(), reason="no /dev/full here")
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python_m(cwd, *argv, stdout=subprocess.PIPE):
+    """``python -W error -m *argv`` on this checkout's sources, run in ``cwd``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", *argv], cwd=cwd, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
 
 
 @pytest.fixture
@@ -284,7 +297,7 @@ class TestTrain:
             "--runs", "1", "--out", str(tmp_path / "m.ecnn"),
         )
         assert code == 0
-        assert "note:" in stderr and "zero-variance" in stderr
+        assert stderr == "note: zero-variance feature columns mapped to 0: [2]\n"
 
     def test_missing_data_file_is_a_data_error(self, tmp_path, capsys):
         code, _, stderr = invoke(
@@ -778,6 +791,72 @@ class TestOutputPaths:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestFailedWrites:
+    """A write that fails once its output was accepted, to a full device or
+    a closed pipe, is a data error naming the output, and that line is all
+    of stderr: nothing more comes from the interpreter's final flush."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, train_csv, saved_model):
+        summary = tmp_path / "m.runs.csv"
+        summary.write_text(
+            "run,seed,size,train_error_pct,test_error_pct,features,status\n"
+            "0,1,1,10.0,,1,ok\n", encoding="utf-8",
+        )
+        return {
+            "report": ["report", "--summary", str(summary)],
+            "eval": ["eval", "--model", str(saved_model), "--data", str(train_csv),
+                     "--label", "y"],
+            "train": ["train", "--data", str(train_csv), "--label", "y",
+                      "--runs", "1", "--out", str(tmp_path / "t.ecnn")],
+            "predict": ["predict", "--model", str(saved_model),
+                        "--data", str(train_csv)],
+            "synth": ["synth", "--n", "20", "--m", "3", "--relevant", "0"],
+        }
+
+    @needs_dev_full
+    @pytest.mark.parametrize("command", ["report", "eval", "train"])
+    def test_stdout_on_a_full_device(self, tmp_path, argv, command):
+        with open(FULL, "w", encoding="utf-8") as full:
+            done = python_m(tmp_path, "ecnn", *argv[command], stdout=full)
+        assert (done.returncode, done.stderr) == (
+            2, f"data error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    @needs_dev_full
+    @pytest.mark.parametrize("command", ["predict", "synth"])
+    def test_out_on_a_full_device(self, tmp_path, argv, command):
+        done = python_m(tmp_path, "ecnn", *argv[command], "--out", str(FULL))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"data error: cannot write {FULL}: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    def test_report_into_a_closed_pipe(self, tmp_path, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = python_m(tmp_path, "ecnn", *argv["report"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (
+            2, f"data error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+        )
+
+
+class TestHugeWeights:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_a_huge_finite_weight_scores_without_a_warning(
+        self, tmp_path, train_csv, capsys, command
+    ):
+        # 1e308 times any |x1| above 1.8 overflows; the clamp saturates it.
+        path = tmp_path / "huge.ecnn"
+        save_model(path, build_cascade([np.array([0.0, 0.0, 1e308])], [1]),
+                   TrainConfig())
+        code, _, stderr = invoke(capsys, command, "--model", str(path),
+                                 "--data", str(train_csv), "--label", "y")
+        assert (code, stderr) == (0, "")
+
+
 class TestPredictAndEvalAgree:
     @pytest.mark.parametrize("threshold", [[], ["--threshold", "0.3"]], ids=repr)
     def test_eval_counts_the_labels_predict_writes(
@@ -803,28 +882,23 @@ class TestPredictAndEvalAgree:
 
 
 class TestModuleEntryPoints:
-    def run_module(self, tmp_path, *argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        return subprocess.run(
-            [sys.executable, "-m", *argv], cwd=tmp_path, capture_output=True,
-            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
-        )
-
     def test_python_m_ecnn_runs_a_command(self, tmp_path):
-        done = self.run_module(
+        done = python_m(
             tmp_path, "ecnn", "synth", "--n", "10", "--m", "3", "--relevant", "0",
             "--out", "x.csv",
         )
-        assert done.returncode == 0
+        assert (done.returncode, done.stderr) == (0, "")
         assert (tmp_path / "x.csv").read_text(encoding="utf-8").startswith("x0,x1,x2,y\n")
 
     def test_python_m_ecnn_cli_prints_the_version(self, tmp_path):
-        done = self.run_module(tmp_path, "ecnn.cli", "--version")
-        assert (done.returncode, done.stdout) == (0, f"ecnn {ecnn.__version__}\n")
+        done = python_m(tmp_path, "ecnn.cli", "--version")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"ecnn {ecnn.__version__}\n", ""
+        )
 
     def test_exit_codes_pass_through(self, tmp_path):
-        done = self.run_module(tmp_path, "ecnn", "predict", "--model", "no.ecnn",
-                               "--data", "no.csv")
+        done = python_m(tmp_path, "ecnn", "predict", "--model", "no.ecnn",
+                        "--data", "no.csv")
         assert done.returncode == 2
         assert done.stderr.startswith("data error:")
 
@@ -969,6 +1043,22 @@ class TestExitCodes:
             )
         assert code == 3
         assert stderr.startswith("internal error: BrokenProcessPool")
+
+    @needs_two_cpus
+    def test_a_fork_that_fails_maps_to_exit_3(self, tmp_path, train_csv, capsys,
+                                              monkeypatch):
+        # An OSError that is not a failed write stays an internal error.
+        def fail():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fail)
+        with deadline(60):
+            code, _, stderr = invoke(
+                capsys, "train", "--data", str(train_csv), "--label", "y",
+                "--runs", "2", "--jobs", "2", "--out", str(tmp_path / "m.ecnn"),
+            )
+        assert code == 3
+        assert stderr.startswith("internal error: BlockingIOError")
 
     def test_version_flag_prints_and_exits(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -15,7 +15,6 @@ from conftest import count_pools, deadline, no_cell_parse, traced_peak
 from ecnn import (
     DataError,
     Dataset,
-    ZeroVarianceWarning,
     load_csv,
     load_matrix_csv,
     normalize,
@@ -358,11 +357,12 @@ class TestNormalize:
         )
         np.testing.assert_allclose(stats.mean, [1.0, 15.0], atol=1e-12)
 
-    def test_constant_column_warns_and_zeroes(self):
+    def test_constant_column_zeroes_and_is_listed_in_the_stats(self):
+        # Tier-1 turns warnings into errors, so this also checks that
+        # normalize reports the column only through its stats.
         data = Dataset(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]),
                        np.array([0.0, 1.0, 0.0]))
-        with pytest.warns(ZeroVarianceWarning, match=r"mapped to 0: \[0\]"):
-            scaled, stats = normalize(data)
+        scaled, stats = normalize(data)
         np.testing.assert_array_equal(scaled.features[:, 0], [0.0, 0.0, 0.0])
         assert stats.constant_columns == (0,)
 

@@ -526,6 +526,16 @@ class TestMultiRun:
         with pytest.raises(DataError, match=message):
             split_odd_even(data)
 
+    def test_a_non_finite_test_feature_raises_at_its_row(self):
+        train, _ = synth_dataset(100, 3, (0,), 0.3, 1)
+        features = np.array(train.features)
+        features[1::2, 1] = np.nan
+        test = Dataset(features, train.targets)
+        message = (r"^invalid features \(50 violations\): "
+                   r"non-finite feature value at row 2, column 1; .* and 40 more$")
+        with pytest.raises(DataError, match=message):
+            multi_run(train, test, TrainConfig(seed=1), runs=2)
+
     @pytest.mark.parametrize("side", ["train", "test"])
     def test_a_target_other_than_0_or_1_raises_at_its_row(self, side):
         data, _ = synth_dataset(200, 4, (1,), 0.3, 1)

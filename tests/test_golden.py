@@ -2,9 +2,9 @@
 
 The digests in ``golden_digests.json`` pin the exact bytes of the model
 file, the run summary, the scores, synth's ground-truth sidecar and what
-``eval`` prints.  A change that alters numerics on
-purpose re-records them and says why in CHANGES.md; any other change
-must leave them untouched.
+``eval`` prints, and the pipeline must write nothing to stderr.  A
+change that alters numerics on purpose re-records them and says why in
+CHANGES.md; any other change must leave them untouched.
 """
 
 from __future__ import annotations
@@ -30,15 +30,15 @@ def test_acceptance_pipeline_reproduces_golden_bytes(tmp_path, capsys):
                 "--seed", "77", "--test-fraction", "0.25", "--out", str(model)]) == 0
     assert run(["predict", "--model", str(model), "--data", str(data),
                 "--label", "y", "--out", str(scores)]) == 0
-    capsys.readouterr()
+    stderr = capsys.readouterr().err
     assert run(["eval", "--model", str(model), "--data", str(data), "--label", "y"]) == 0
+    captured = capsys.readouterr()
+    assert stderr + captured.err == ""
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("synth.csv", "model.ecnn", "model.runs.csv", "scores.csv",
                      "synth.truth.json")
     }
-    digests["eval.stdout"] = hashlib.sha256(
-        capsys.readouterr().out.encode("utf-8")
-    ).hexdigest()
+    digests["eval.stdout"] = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
     expected = {name: GOLDEN[name] for name in digests}
     assert digests == expected
