@@ -8,131 +8,31 @@ the same time.  A restart harness repeats growth from many random
 initializations and keeps the model with the lowest training error.
 
 The command-line interface lives in :mod:`ecnn.cli` (installed as the
-``ecnn`` script); everything below is the library surface.  Growing one
-cascade is ``ecnn.evolve.evolve``: the package attribute ``ecnn.evolve``
-is the module, so it is not re-exported here.
+``ecnn`` script); the package holds the library surface.  Each module's
+``__all__`` is its part of that surface, and the package re-exports
+those lists in the order below.  Growing one cascade is
+``ecnn.evolve.evolve``: the package attribute ``ecnn.evolve`` is the
+module, so the function is not re-exported.
 """
 
-from .cascade import (
-    classify_batch,
-    error_rate,
-    forward_batch,
-    used_features,
-)
-from .data_io import (
-    SynthTruth,
-    load_csv,
-    load_matrix_csv,
-    normalize,
-    split_odd_even,
-    split_train_test,
-    synth_dataset,
-    write_csv,
-)
-from .domain import (
-    CascadeModel,
-    Dataset,
-    Feature,
-    FeatureStats,
-    FitnessRecord,
-    InputSource,
-    NeuronSpec,
-    PrevNeuron,
-    SplitAB,
-    TrainConfig,
-    require_finite_features,
-    require_valid_dataset,
-)
-from .errors import DataError, EcnnError, ModelFormatError
-from .evolve import (
-    AcceptedRecord,
-    EvolveTrace,
-    RejectedRecord,
-    RunSummary,
-    STOP_FEATURES_EXHAUSTED,
-    STOP_MAX_LAYERS,
-    child_seed,
-    multi_run,
-    rng_for_run,
-    select_best,
-)
-from .fitting import (
-    FitResult,
-    SIGMOID_CLAMP,
-    design_matrix,
-    fit_neuron,
-    fit_neuron_from_init,
-    init_weights,
-    sigmoid,
-)
-from .model_io import (
-    FORMAT_VERSION,
-    dump_canonical_json,
-    load_model,
-    model_to_payload,
-    payload_to_model,
-    save_model,
-)
+from . import cascade, data_io, domain, errors, evolve, fitting, model_io
+from .cascade import *
+from .data_io import *
+from .domain import *
+from .errors import *
+from .evolve import *
+from .fitting import *
+from .model_io import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # domain
-    "Dataset",
-    "SplitAB",
-    "PrevNeuron",
-    "Feature",
-    "InputSource",
-    "NeuronSpec",
-    "FeatureStats",
-    "CascadeModel",
-    "TrainConfig",
-    "FitnessRecord",
-    "require_valid_dataset",
-    "require_finite_features",
-    # errors
-    "EcnnError",
-    "DataError",
-    "ModelFormatError",
-    # fitting
-    "SIGMOID_CLAMP",
-    "FitResult",
-    "sigmoid",
-    "design_matrix",
-    "init_weights",
-    "fit_neuron",
-    "fit_neuron_from_init",
-    # cascade
-    "forward_batch",
-    "classify_batch",
-    "used_features",
-    "error_rate",
-    # evolve
-    "STOP_FEATURES_EXHAUSTED",
-    "STOP_MAX_LAYERS",
-    "AcceptedRecord",
-    "RejectedRecord",
-    "EvolveTrace",
-    "RunSummary",
-    "child_seed",
-    "rng_for_run",
-    "select_best",
-    "multi_run",
-    # data io
-    "SynthTruth",
-    "load_csv",
-    "load_matrix_csv",
-    "write_csv",
-    "normalize",
-    "split_odd_even",
-    "split_train_test",
-    "synth_dataset",
-    # model io
-    "FORMAT_VERSION",
-    "save_model",
-    "load_model",
-    "dump_canonical_json",
-    "model_to_payload",
-    "payload_to_model",
-]
+__all__ = (
+    ["__version__"]
+    + domain.__all__
+    + errors.__all__
+    + fitting.__all__
+    + cascade.__all__
+    + evolve.__all__
+    + data_io.__all__
+    + model_io.__all__
+)

@@ -50,6 +50,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit; we map to exit code 1
         raise UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse prints --help and --version to stdout and drops a failed write
+        with _writing("standard output"):
+            file.write(message)
+            file.flush()
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = TrainConfig()

@@ -35,7 +35,6 @@ __all__ = [
     "load_csv",
     "load_matrix_csv",
     "write_csv",
-    "format_scores",
     "normalize",
     "split_odd_even",
     "split_train_test",
@@ -642,8 +641,8 @@ def synth_dataset(
         raise ValueError(
             f"relevant feature indices {list(relevant)} out of range for m={m}"
         )
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if not 0.0 < prevalence < 1.0:
         raise ValueError("prevalence must be inside (0, 1)")
     rng = np.random.default_rng(seed)

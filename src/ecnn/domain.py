@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "MAX_SEED",
     "Dataset",
     "SplitAB",
     "PrevNeuron",
@@ -90,10 +89,10 @@ def _names(owner) -> None:
 class Dataset:
     """A feature matrix with one binary target per row.
 
-    The constructor only coerces shapes and dtypes.  Semantic checks
-    (binary targets, matching lengths, finite values, enough columns) are
-    the job of :func:`require_valid_dataset`, so that a broken input is
-    reported item by item instead of dying at construction.
+    The constructor coerces shapes and dtypes and requires one target per
+    row.  Semantic checks (binary targets, finite values, enough columns)
+    are the job of :func:`require_valid_dataset`, so that a broken input
+    is reported item by item instead of dying at construction.
 
     ``features`` and ``targets`` are stored read-only.  An array that is
     float64, of the right dimension, read-only and owns its memory is
@@ -115,6 +114,10 @@ class Dataset:
         object.__setattr__(
             self, "targets", _frozen_array(self.targets, ndim=1, name="targets")
         )
+        if len(self.targets) != self.n:
+            raise ValueError(
+                f"features have {self.n} rows but there are {len(self.targets)} targets"
+            )
         _names(self)
         if self.feature_names is not None and len(self.feature_names) != self.m:
             raise ValueError(f"{len(self.feature_names)} feature names for {self.m} columns")
@@ -149,13 +152,7 @@ def _cell_messages(bad: np.ndarray) -> Iterator[str]:
 
 def _violations(d: Dataset) -> tuple[Iterator[str], int]:
     """Every violation message of ``d`` as a lazy iterator, plus their count."""
-    head = []
-    if d.targets.shape[0] != d.n:
-        head.append(
-            f"features have {d.n} rows but there are {d.targets.shape[0]} targets"
-        )
-    if d.m < 2:
-        head.append("at least two features required")
+    head = ["at least two features required"] if d.m < 2 else []
     targets, bad_targets = _target_messages(d.targets)
     bad_cells = ~np.isfinite(d.features)
     messages = itertools.chain(head, targets, _cell_messages(bad_cells))

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["EcnnError", "DataError", "ModelFormatError"]
+
 
 class EcnnError(Exception):
     """Base class for every error this package raises on purpose."""

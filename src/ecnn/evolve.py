@@ -42,6 +42,7 @@ from .fitting import (
     sigmoid,
 )
 
+# Not "evolve": the package's star import would rebind ecnn.evolve to it.
 __all__ = [
     "STOP_FEATURES_EXHAUSTED",
     "STOP_MAX_LAYERS",
@@ -49,7 +50,6 @@ __all__ = [
     "RejectedRecord",
     "EvolveTrace",
     "RunSummary",
-    "evolve",
     "child_seed",
     "rng_for_run",
     "select_best",

@@ -24,8 +24,8 @@ __all__ = [
     "sigmoid",
     "design_matrix",
     "init_weights",
-    "fit_neuron_from_init",
     "fit_neuron",
+    "fit_neuron_from_init",
 ]
 
 # Sigmoid outputs are kept this far away from 0 and 1 so that residual
@@ -169,7 +169,7 @@ def fit_neuron_from_init(
     ``config.max_fit_steps``.
 
     The residuals live in one ``[B | A]`` buffer and take one sigmoid pass
-    per step, B alone at the cap; an earlier stop wastes the last A half.
+    per step; the last step's A half goes unused.
     """
     U_A = design_matrix(split.set_a.features, wiring, prior_outputs_a)
     U_B = design_matrix(split.set_b.features, wiring, prior_outputs_b)
@@ -188,19 +188,18 @@ def fit_neuron_from_init(
     w_prev, prev_eb = w_cur, np.inf
     trace: list[float] = []
     for k in range(1, last + 1):
-        live, y = (residuals, targets) if k < last else (residuals_b, targets[:n_b])
         np.dot(w_cur, U_B, out=residuals_b)
-        if k < last:
-            np.dot(w_cur, U_A, out=residuals_a)
-        np.subtract(_clamp(expit(live, out=live)), y, out=live)
+        np.dot(w_cur, U_A, out=residuals_a)
+        np.subtract(_clamp(expit(residuals, out=residuals)), targets, out=residuals)
         eb = _norm(residuals_b)
         trace.append(eb)
         if k >= 2 and prev_eb - eb < config.delta:
             final = w_prev if eb > prev_eb else w_cur
             return FitResult(final, trace)
-        if k < last:
-            w_prev, prev_eb = w_cur, eb
-            w_cur = _project(w_cur, U_A, residuals_a, scale)
+        if k == last:
+            break
+        w_prev, prev_eb = w_cur, eb
+        w_cur = _project(w_cur, U_A, residuals_a, scale)
     return FitResult(w_cur, trace)
 
 

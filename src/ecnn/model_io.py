@@ -23,11 +23,11 @@ from .errors import ModelFormatError
 
 __all__ = [
     "FORMAT_VERSION",
+    "save_model",
+    "load_model",
     "dump_canonical_json",
     "model_to_payload",
     "payload_to_model",
-    "save_model",
-    "load_model",
 ]
 
 FORMAT_VERSION = 1

@@ -85,6 +85,21 @@ class TestExports:
     def test_all_is_pinned(self):
         assert ecnn.__all__ == PUBLIC_API
 
+    def test_each_export_is_the_object_of_the_one_module_that_lists_it(self):
+        # The library modules: all but the command line and private modules.
+        modules = [
+            importlib.import_module(f"ecnn.{path.stem}") for path in SOURCES
+            if not path.stem.startswith("_") and path.stem != "cli"
+        ]
+        listed = [(name, module) for module in modules for name in module.__all__]
+        names = [name for name, _ in listed]
+        assert len(names) == len(set(names))
+        assert sorted(names) == sorted(set(ecnn.__all__) - {"__version__"})
+        assert [
+            name for name, module in listed
+            if getattr(ecnn, name) is not getattr(module, name)
+        ] == []
+
     def test_every_exported_name_resolves(self):
         assert [name for name in PUBLIC_API if not hasattr(ecnn, name)] == []
 

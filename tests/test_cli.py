@@ -126,6 +126,19 @@ class TestSynth:
         assert code == 1
         assert "usage error" in stderr
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_a_usage_error_and_writes_nothing(
+        self, tmp_path, capsys, noise
+    ):
+        code, stdout, stderr = invoke(
+            capsys, "synth", "--n", "10", "--m", "3", "--relevant", "0",
+            "--noise", noise, "--out", str(tmp_path / "out" / "x.csv"),
+        )
+        assert (code, stdout, stderr) == (
+            1, "", f"usage error: noise_sigma must be finite and >= 0, got {noise}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_default_output_honors_out_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "routed"))
         code, _, _ = invoke(capsys, "synth", "--n", "10", "--m", "3",
@@ -812,10 +825,15 @@ class TestFailedWrites:
             "predict": ["predict", "--model", str(saved_model),
                         "--data", str(train_csv)],
             "synth": ["synth", "--n", "20", "--m", "3", "--relevant", "0"],
+            "version": ["--version"],
+            "help": ["--help"],
+            "train-help": ["train", "--help"],
         }
 
     @needs_dev_full
-    @pytest.mark.parametrize("command", ["report", "eval", "train"])
+    @pytest.mark.parametrize(
+        "command", ["report", "eval", "train", "version", "help", "train-help"]
+    )
     def test_stdout_on_a_full_device(self, tmp_path, argv, command):
         with open(FULL, "w", encoding="utf-8") as full:
             done = python_m(tmp_path, "ecnn", *argv[command], stdout=full)
@@ -831,11 +849,12 @@ class TestFailedWrites:
             2, "", f"data error: cannot write {FULL}: {os.strerror(errno.ENOSPC)}\n"
         )
 
-    def test_report_into_a_closed_pipe(self, tmp_path, argv):
+    @pytest.mark.parametrize("command", ["report", "version"])
+    def test_stdout_into_a_closed_pipe(self, tmp_path, argv, command):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = python_m(tmp_path, "ecnn", *argv["report"], stdout=write_end)
+            done = python_m(tmp_path, "ecnn", *argv[command], stdout=write_end)
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (

@@ -527,6 +527,8 @@ class TestSynthDataset:
             dict(n=10, m=3, relevant=(0,), noise_sigma=-0.1, seed=1),
             dict(n=10, m=3, relevant=(0,), noise_sigma=0.1, seed=1, prevalence=0.0),
             dict(n=10, m=3, relevant=(0,), noise_sigma=0.1, seed=1, prevalence=1.0),
+            dict(n=10, m=3, relevant=(0,), noise_sigma=float("nan"), seed=1),
+            dict(n=10, m=3, relevant=(0,), noise_sigma=float("inf"), seed=1),
         ],
     )
     def test_invalid_arguments_raise(self, kwargs):

@@ -95,6 +95,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="feature_names must be a sequence"):
             Dataset([[1.0, 2.0]], [0.0], "ab")
 
+    @pytest.mark.parametrize("n_targets", [2, 4])
+    def test_targets_must_be_one_per_row(self, n_targets):
+        message = f"^features have 3 rows but there are {n_targets} targets$"
+        with pytest.raises(ValueError, match=message):
+            Dataset([[1, 2], [3, 4], [5, 6]], [0, 1, 0, 1][:n_targets])
+
     def test_rejects_non_2d_features(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             Dataset([1.0, 2.0], [0.0])
@@ -114,12 +120,6 @@ class TestValidateDataset:
     def test_single_feature_is_rejected(self):
         d = Dataset([[1.0], [2.0]], [0, 1])
         message = "^invalid dataset: at least two features required$"
-        with pytest.raises(DataError, match=message):
-            require_valid_dataset(d)
-
-    def test_length_mismatch_is_reported(self):
-        d = Dataset([[1, 2], [3, 4], [5, 6]], [0, 1])
-        message = "features have 3 rows but there are 2 targets"
         with pytest.raises(DataError, match=message):
             require_valid_dataset(d)
 
