@@ -17,6 +17,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for the restarts, at most the usable CPUs "
-        "(default: min(runs, usable CPUs)); outputs are identical for every value",
+        help="worker processes, at most the usable CPUs (default: all); the "
+        "restarts use at most --runs of them; outputs are identical for every value",
     )
     train.add_argument(
         "--test-fraction", type=float, default=0.0,
@@ -193,11 +194,17 @@ def _default_out(name: str) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."), name)
 
 
-def _out_path(flag_value, default: Path | None = None) -> Path:
+def _out_path(flag_value, default: Path | None = None, taken=()) -> Path:
     """The file an output is written to: ``flag_value`` as given, else
-    ``default``, with its parent directory made.  A directory, or a parent
-    that cannot be made, is a data error."""
+    ``default``, with its parent directory made.  A directory, a path
+    that resolves to one of ``taken`` (the ``(flag, path)`` pairs of the
+    command's inputs and other outputs), or a parent that cannot be made,
+    is a data error."""
     path = Path(flag_value) if flag_value is not None else default
+    resolved = os.path.realpath(path)
+    for flag, other in taken:
+        if os.path.realpath(other) == resolved:
+            raise DataError(f"cannot write {path}: it is the {flag} file")
     if path.is_dir():
         raise DataError(f"cannot write {path}: it is a directory")
     try:
@@ -274,15 +281,17 @@ def cmd_train(args) -> str:
     if args.runs < 1:
         raise UsageError("--runs must be >= 1")
     usable = _usable_cpus()
-    jobs = min(args.runs, usable) if args.jobs is None else args.jobs
+    jobs = usable if args.jobs is None else args.jobs
     if not 1 <= jobs <= usable:
         raise UsageError(f"--jobs must be in [1, {usable}] (the usable CPUs)")
     if not 0.0 <= args.test_fraction < 1.0:
         raise UsageError("--test-fraction must be in [0, 1)")
     config = _config_from_args(args)
-    model_path = _out_path(args.out, _default_out("model.ecnn"))
+    data = ("--data", args.data)
+    model_path = _out_path(args.out, _default_out("model.ecnn"), [data])
     summary_path = _out_path(
-        args.summary_out, model_path.with_name(model_path.stem + ".runs.csv")
+        args.summary_out, model_path.with_name(model_path.stem + ".runs.csv"),
+        [data, ("--out", model_path)],
     )
     train, test, stats = _training_sets(args, config.seed, jobs)
     best_model, summaries = multi_run(train, test, config, args.runs, jobs)
@@ -355,11 +364,12 @@ def _score(args):
 
 
 def cmd_predict(args) -> str:
+    taken = [("--model", args.model), ("--data", args.data)]
+    out = None if args.out is None else _out_path(args.out, taken=taken)
     outputs, labels, _ = _score(args)
     text = format_scores(outputs, labels)
-    if args.out is None:
+    if out is None:
         return text
-    out = _out_path(args.out)
     with _writing(out):
         out.write_text(text, encoding="utf-8")
     return f"predictions: {out} ({len(outputs)} rows)\n"
@@ -410,7 +420,11 @@ def cmd_synth(args) -> str:
 
 
 def _histogram(values, bin_width: float) -> list[tuple[float, float, int]]:
-    counts = Counter(int(math.floor(v / bin_width)) for v in values)
+    """Count ``values`` per bin of ``bin_width``.  A value's bin is the
+    floor of the exact quotient of the two as printed, so a printed bin
+    edge such as 0.3 at width 0.1 opens its bin."""
+    width = Fraction(repr(bin_width))
+    counts = Counter(math.floor(Fraction(repr(v)) / width) for v in values)
     return [
         (bucket * bin_width, (bucket + 1) * bin_width, counts[bucket])
         for bucket in sorted(counts)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .domain import Feature, PrevNeuron, SplitAB, TrainConfig
+from .domain import Feature, PrevNeuron, SplitAB, TrainConfig, _frozen_array
 from .errors import DataError
 
 __all__ = [
@@ -33,15 +33,12 @@ __all__ = [
 SIGMOID_CLAMP = 1e-12
 
 
-def _clamp(p: np.ndarray) -> np.ndarray:
-    """Clamp sigmoid outputs in place to [SIGMOID_CLAMP, 1 - SIGMOID_CLAMP]."""
-    return p.clip(SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP, out=p)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of an array, clamped to [SIGMOID_CLAMP,
-    1 - SIGMOID_CLAMP]; a scalar is passed as a 1-element array."""
-    return _clamp(expit(x))
+    1 - SIGMOID_CLAMP]; a scalar is passed as a 1-element array.  The
+    result is written to ``out`` if given (``x`` itself is allowed)."""
+    p = expit(x, out=out)
+    return p.clip(SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP, out=p)
 
 
 def design_matrix(features, wiring, prior_outputs) -> np.ndarray:
@@ -128,15 +125,13 @@ class FitResult:
     eb_trace: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float, copy=True)
-        trace = np.array(self.eb_trace, dtype=float, copy=True)
-        w.flags.writeable = False
-        trace.flags.writeable = False
+        w = _frozen_array(self.weights, ndim=1, name="weights")
+        trace = _frozen_array(self.eb_trace, ndim=1, name="eb_trace")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "eb_trace", trace)
-        if w.ndim != 1 or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be a finite vector")
-        if trace.ndim != 1 or len(trace) < 1:
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if len(trace) < 1:
             raise ValueError("eb_trace must hold at least one entry")
         if not np.all(np.isfinite(trace)) or np.any(trace < 0):
             raise ValueError("validation errors must be finite and >= 0")
@@ -190,7 +185,7 @@ def fit_neuron_from_init(
     for k in range(1, last + 1):
         np.dot(w_cur, U_B, out=residuals_b)
         np.dot(w_cur, U_A, out=residuals_a)
-        np.subtract(_clamp(expit(residuals, out=residuals)), targets, out=residuals)
+        np.subtract(sigmoid(residuals, out=residuals), targets, out=residuals)
         eb = _norm(residuals_b)
         trace.append(eb)
         if k >= 2 and prev_eb - eb < config.delta:

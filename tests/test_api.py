@@ -167,6 +167,33 @@ def referenced_names(path):
     return names
 
 
+def where_named(name):
+    """Where the sources name ``name``: ``(module, owner)`` pairs, the owner
+    being the top-level function or class it appears in, else the kind of
+    top-level statement (``ImportFrom`` for a from-import)."""
+    places = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                named = (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None), getattr(node, "asname", None),
+                )
+                if name in named:
+                    places.add((path.stem, getattr(top, "name", type(top).__name__)))
+    return places
+
+
+class TestOneOwner:
+    def test_expit_is_named_only_in_sigmoid_and_its_import(self):
+        # The sigmoid's formula is written once, so replacing it edits one function.
+        want = {("fitting", "ImportFrom"), ("fitting", "sigmoid")}
+        assert where_named("expit") == want
+
+    def test_the_sigmoid_clamp_has_no_second_owner(self):
+        assert where_named("_clamp") == set()
+
+
 class TestModuleNames:
     def test_ecnn_evolve_is_the_module(self):
         import ecnn.evolve as E

@@ -600,6 +600,26 @@ class TestLoaderWorkers:
         )
         assert (code, stderr) == (0, "")
 
+    def test_a_single_restart_parses_on_every_usable_cpu(
+        self, tmp_path, capsys, monkeypatch, scored_files
+    ):
+        _, labeled, _ = scored_files
+        monkeypatch.setattr(ecnn.data_io, "_MIN_WORKER_BYTES", 256)
+        monkeypatch.setattr(ecnn.cli, "_usable_cpus", lambda: 2)
+        outputs = []
+        for jobs in ([], ["--jobs", "1"]):
+            started = count_pools(monkeypatch)
+            model = tmp_path / f"jobs-{len(jobs)}" / "m.ecnn"
+            code, _, _ = invoke(
+                capsys, "train", "--data", str(labeled), "--label", "y",
+                "--runs", "1", "--seed", "3", *jobs, "--out", str(model),
+            )
+            assert code == 0
+            summary = model.with_name("m.runs.csv")
+            outputs.append((model.read_bytes(), summary.read_bytes()))
+            assert started == ([2] if not jobs else [])
+        assert outputs[1] == outputs[0]
+
     def test_a_dead_worker_maps_to_exit_3(self, tmp_path, capsys, monkeypatch,
                                           scored_files):
         model, labeled, _ = scored_files
@@ -803,6 +823,42 @@ class TestOutputPaths:
         assert stderr.startswith(want)
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command, flag, other", [
+        ("train", "--out", "--data"),
+        ("train", "--summary-out", "--data"),
+        ("train", "--summary-out", "--out"),
+        ("predict", "--out", "--model"),
+        ("predict", "--out", "--data"),
+    ])
+    def test_an_output_that_resolves_to_an_input_or_another_output_is_refused(
+        self, tmp_path, train_csv, saved_model, capsys, monkeypatch,
+        command, flag, other,
+    ):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        model_out = tmp_path / "model.ecnn"
+        argv = {
+            "train": ["train", "--data", str(train_csv), "--label", "y",
+                      "--runs", "1"],
+            "predict": ["predict", "--model", str(saved_model),
+                        "--data", str(train_csv)],
+        }[command]
+        if other == "--out":
+            argv += ["--out", str(model_out)]
+        # The same file by another spelling: through a link to its directory.
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path)
+        named = {"--data": train_csv, "--model": saved_model, "--out": model_out}
+        target = link / named[other].name
+        def tree():
+            return {path: None if path.is_dir() else path.read_bytes()
+                    for path in tmp_path.rglob("*")}
+
+        before = tree()
+        code, stdout, stderr = invoke(capsys, *argv, flag, str(target))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"data error: cannot write {target}: it is the {other} file\n"
+        assert tree() == before
+
 
 class TestFailedWrites:
     """A write that fails once its output was accepted, to a full device or
@@ -978,6 +1034,17 @@ class TestReport:
         assert "0,0.5,2" in stdout
         assert "0.5,1,1" in stdout
         assert "test error rates: none recorded" in stdout
+
+    def test_a_rate_on_a_printed_bin_edge_opens_that_bin(self, tmp_path, capsys):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point.
+        path = self.summary_csv(tmp_path, ["0,10,1,0.3,,0,ok", "1,11,1,12.6,,0,ok"])
+        code, stdout, _ = invoke(
+            capsys, "report", "--summary", str(path), "--bin", "0.1"
+        )
+        assert code == 0
+        lines = stdout.splitlines()
+        start = lines.index("bin_start,bin_end,count")
+        assert lines[start + 1:start + 3] == ["0.3,0.4,1", "12.6,12.7,1"]
 
     def test_missing_columns_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "runs.csv"

@@ -209,6 +209,18 @@ class TestFitResult:
         with pytest.raises(ValueError):
             result.weights[0] = 1.0
 
+    @pytest.mark.parametrize("weights, trace, message", [
+        (np.zeros((2, 1)), [1.0], "weights must be 1-dimensional"),
+        ([0.0, np.nan], [1.0], "weights must be finite"),
+        ([0.0, 1.0], 1.0, "eb_trace must be 1-dimensional"),
+        ([0.0, 1.0], [], "eb_trace must hold at least one entry"),
+        ([0.0, 1.0], [1.0, -0.5], "validation errors must be finite and >= 0"),
+        ([0.0, 1.0], [np.inf], "validation errors must be finite and >= 0"),
+    ])
+    def test_invalid_fields_are_refused(self, weights, trace, message):
+        with pytest.raises(ValueError, match=message):
+            FitResult(weights, trace)
+
 
 class TestFitNeuron:
     WIRING = (Feature(0), Feature(1))
