@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import CascadeModel, Dataset, Feature, FeatureStats
+from .domain import CascadeModel, Dataset, Feature, FeatureStats, require_finite_features
 from .errors import DataError
 from .fitting import design_matrix, sigmoid
 
@@ -77,7 +77,8 @@ def forward_batch(
 def classify_batch(model: CascadeModel, features, threshold: float = 0.5) -> np.ndarray:
     """Vector of 0/1 labels for a batch of whole-row examples, as
     :func:`forward_batch` takes them without ``width``: 1 where the final
-    output is at or above ``threshold``."""
+    output is at or above ``threshold``.  Every cell must be finite."""
+    require_finite_features(features)
     _, final = forward_batch(model, features)
     return (final >= threshold).astype(float)
 
@@ -95,6 +96,6 @@ def error_rate(model: CascadeModel, data: Dataset, threshold: float = 0.5) -> fl
     """Percentage of examples the model labels incorrectly."""
     if data.n == 0:
         raise DataError("cannot score an empty dataset")
-    labels = classify_batch(model, data.features, threshold)
-    wrong = int(np.count_nonzero(labels != data.targets))
+    _, final = forward_batch(model, data.features)
+    wrong = int(np.count_nonzero((final >= threshold) != data.targets))
     return 100.0 * wrong / data.n

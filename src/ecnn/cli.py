@@ -348,17 +348,27 @@ def _training_sets(args, seed: int, jobs: int):
 def _score(args):
     """Score ``--data`` with ``--model``: the outputs, their labels
     (``outputs >= threshold``) and the targets (None without ``--label``).
-    Errors come in order: model file, threshold, data, width."""
+    Errors come in order: model file, threshold, data, column names,
+    width.  A file as wide as the model's feature names must carry them
+    in the same order."""
     model, config = load_model(args.model)
     threshold = _threshold(args.threshold, config)
     # Only the model's columns are converted; the loaders check the rest.
     jobs, columns = _usable_cpus(), used_features(model)
     if args.label is not None:
-        data, names = load_csv(args.data, args.label, jobs=jobs, features=columns)
-        features, targets = data.features, data.targets
+        features, targets, names = load_csv(
+            args.data, args.label, jobs=jobs, features=columns
+        )
     else:
         features, names = load_matrix_csv(args.data, jobs=jobs, features=columns)
         targets = None
+    expected = model.feature_names
+    if expected is not None and len(names) == len(expected) and names != expected:
+        j = next(j for j, (a, b) in enumerate(zip(names, expected)) if a != b)
+        raise DataError(
+            f"feature column {j} is {names[j]!r} in the data but {expected[j]!r} "
+            "in the model"
+        )
     _, outputs = forward_batch(model, features, len(names))
     return outputs, outputs >= threshold, targets
 

@@ -20,14 +20,7 @@ import numpy as np
 import orjson
 
 from ._pool import fork_map
-from .domain import (
-    Dataset,
-    FeatureStats,
-    SplitAB,
-    _require_binary_targets,
-    require_finite_features,
-    require_valid_dataset,
-)
+from .domain import Dataset, FeatureStats, SplitAB, require_finite_features
 from .errors import DataError
 
 __all__ = [
@@ -319,9 +312,7 @@ def _parse_json_blocks(
     feature the file lacks reads NaN.  Labels must be 0 or 1 and are
     stored as such, a ``-0`` as 0.  A ``label_column`` the header lacks
     raises :func:`_label_index`'s :class:`DataError` once the rest of the
-    file is read without a fault.  A column load of a labeled file with
-    fewer than two feature columns is refused, so that the caller checks
-    its whole table.
+    file is read without a fault.
     """
     try:
         with open(path, "rb") as handle:
@@ -347,8 +338,6 @@ def _parse_json_blocks(
             # a missing label, so the file is read as a table of one
             # column, and the label's error raised only if that succeeds.
             missing_label, features = exc, [0]
-    if label_idx is not None and features is not None and len(header) < 3:
-        return None
     rows = sum(line_range[3] for line_range in ranges)
     if not rows:
         return None
@@ -384,9 +373,9 @@ def _load_table(
     every cell it accepts is finite.  Any other file is parsed again cell
     by cell by :func:`_parse_cells`, which loads it or raises its exact
     error.  A table of some columns stands for the whole file, so the
-    per-cell table is first checked whole, as
-    :func:`~ecnn.domain.require_valid_dataset` checks a labeled one and
-    :func:`~ecnn.domain.require_finite_features` an unlabeled one.
+    per-cell table is first checked whole: a labeled one by the
+    :class:`~ecnn.domain.Dataset` constructor, an unlabeled one by
+    :func:`~ecnn.domain.require_finite_features`.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -401,9 +390,7 @@ def _load_table(
     if label_idx is None:
         require_finite_features(table)
     else:
-        require_valid_dataset(
-            Dataset(np.delete(table, label_idx, axis=1), table[:, label_idx])
-        )
+        Dataset(np.delete(table, label_idx, axis=1), table[:, label_idx])
     columns, _, absent = _table_columns(len(header), label_idx, features)
     kept = table[:, columns]
     kept[:, absent] = np.nan
@@ -428,16 +415,18 @@ def load_matrix_csv(
 
 def load_csv(
     path, label_column, jobs: int = 1, features=None
-) -> Dataset | tuple[Dataset, tuple[str, ...]]:
+) -> Dataset | tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Parse a headed CSV into a Dataset, splitting off the label column.
 
     ``label_column`` is a header name or a 0-based column index.  Labels
     must parse as exactly 0 or 1, and a ``-0`` label reads as 0; every
     other column becomes a feature in file order.  Every cell reads as
-    ``float()`` reads it.  Row N in an error is the Nth data row below
-    the header.  Files are read by a fast stage where it can vouch for
-    them and cell by cell otherwise, with the same bits; :func:`_load_table`
-    and the functions it calls state which files take which stage.
+    ``float()`` reads it, and a non-finite one is refused as the
+    :class:`~ecnn.domain.Dataset` constructor refuses it.  Row N in an
+    error is the Nth data row below the header.  Files are read by a fast
+    stage where it can vouch for them and cell by cell otherwise, with
+    the same bits; :func:`_load_table` and the functions it calls state
+    which files take which stage.
 
     ``jobs`` caps the processes the file is parsed on, and is not capped
     at the CPU count.  The Dataset and every error are the same for every
@@ -446,16 +435,16 @@ def load_csv(
 
     ``features``, a list of 0-based feature indices (the label column not
     counted, as a model numbers them), asks for those columns alone, as
-    scoring needs them.  The result is then ``(dataset, names)``: the
-    Dataset holds only those columns, in that order and unnamed (a column
-    the file lacks reads NaN), and ``names`` are all the file's feature
-    names.  Every cell is still parsed, and the whole file is checked, so
-    a fault in a dropped column still raises.
+    scoring needs them.  The result is then ``(features, targets,
+    names)``: an array of only those columns, in that order (a column the
+    file lacks reads NaN, so it is no Dataset), the labels, and all the
+    file's feature names.  Every cell is still parsed, and the whole file
+    is checked, so a fault in a dropped column still raises.
     """
     header, table, label_idx = _load_table(path, label_column, jobs, features)
     names = tuple(header[:label_idx] + header[label_idx + 1:])
     if features is not None:
-        return Dataset(table[:, :-1], table[:, -1]), names
+        return table[:, :-1], table[:, -1], names
     # Both are new arrays; frozen, the Dataset takes them without a copy,
     # so once the parsed table goes one feature-sized matrix is left.
     targets = table[:, label_idx].copy()
@@ -557,15 +546,11 @@ def normalize(train: Dataset) -> tuple[Dataset, FeatureStats]:
 
 def split_odd_even(train: Dataset) -> SplitAB:
     """Fitting/validation split by position: 1st, 3rd, 5th ... example to
-    the fitting side, 2nd, 4th, 6th ... to the validation side.
-
-    Growth needs finite features and 0/1 targets, so they are checked
-    here, with rows numbered as in ``train``.
+    the fitting side, 2nd, 4th, 6th ... to the validation side.  Growth
+    needs finite features and 0/1 targets, which every Dataset has.
     """
     if train.n < 2:
         raise DataError("splitting needs at least two examples")
-    require_finite_features(train.features)
-    _require_binary_targets(train)
     return SplitAB(
         set_a=train.take(np.arange(0, train.n, 2)),
         set_b=train.take(np.arange(1, train.n, 2)),

@@ -87,12 +87,16 @@ def _names(owner) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A feature matrix with one binary target per row.
+    """A feature matrix with one binary target per row: the data contract.
 
     The constructor coerces shapes and dtypes and requires one target per
-    row.  Semantic checks (binary targets, finite values, enough columns)
-    are the job of :func:`require_valid_dataset`, so that a broken input
-    is reported item by item instead of dying at construction.
+    row.  It then raises :class:`DataError` ("invalid dataset: ...")
+    naming every target other than 0 and 1, then every non-finite
+    feature cell, if there are any.  So every Dataset is valid, and what
+    takes one checks none of this again.  Rows are numbered from 1, as
+    data rows below a CSV header are; columns from 0.  The message lists
+    at most the first ``MAX_LISTED_VIOLATIONS`` and then the total, so it
+    stays small on huge bad inputs.
 
     ``features`` and ``targets`` are stored read-only.  An array that is
     float64, of the right dimension, read-only and owns its memory is
@@ -104,7 +108,7 @@ class Dataset:
     """
 
     features: np.ndarray  # (n, m)
-    targets: np.ndarray  # (n,), values expected in {0, 1}
+    targets: np.ndarray  # (n,), each 0 or 1
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -121,6 +125,13 @@ class Dataset:
         _names(self)
         if self.feature_names is not None and len(self.feature_names) != self.m:
             raise ValueError(f"{len(self.feature_names)} feature names for {self.m} columns")
+        targets, bad_targets = _target_messages(self.targets)
+        bad_cells = ~np.isfinite(self.features)
+        _raise_bounded(
+            "invalid dataset",
+            itertools.chain(targets, _cell_messages(bad_cells)),
+            bad_targets + int(np.count_nonzero(bad_cells)),
+        )
 
     @property
     def n(self) -> int:
@@ -150,15 +161,6 @@ def _cell_messages(bad: np.ndarray) -> Iterator[str]:
             yield f"non-finite feature value at row {int(i) + 1}, column {int(j)}"
 
 
-def _violations(d: Dataset) -> tuple[Iterator[str], int]:
-    """Every violation message of ``d`` as a lazy iterator, plus their count."""
-    head = ["at least two features required"] if d.m < 2 else []
-    targets, bad_targets = _target_messages(d.targets)
-    bad_cells = ~np.isfinite(d.features)
-    messages = itertools.chain(head, targets, _cell_messages(bad_cells))
-    return messages, len(head) + bad_targets + int(np.count_nonzero(bad_cells))
-
-
 def _target_messages(targets: np.ndarray) -> tuple[Iterator[str], int]:
     """One message per target other than 0 and 1, lazily, plus their count."""
     bad = np.flatnonzero((targets != 0.0) & (targets != 1.0))
@@ -178,25 +180,16 @@ def _raise_bounded(what: str, messages: Iterator[str], total: int) -> None:
 
 
 def require_valid_dataset(d: Dataset) -> None:
-    """Raise :class:`DataError` listing every Dataset invariant ``d``
-    violates, if there are any.
-
-    Rows are numbered from 1, as data rows below a CSV header are; columns
-    from 0.  The message lists at most the first ``MAX_LISTED_VIOLATIONS``
-    and then the total, so it stays small on huge bad inputs.
-    """
-    _raise_bounded("invalid dataset", *_violations(d))
-
-
-def _require_binary_targets(d: Dataset) -> None:
-    """Raise :class:`DataError` naming the targets of ``d`` other than 0
-    and 1, as :func:`require_valid_dataset` does, at any width."""
-    _raise_bounded("invalid dataset", *_target_messages(d.targets))
+    """Raise :class:`DataError` unless ``d`` has the two feature columns
+    that ``ecnn train`` requires; the rest of the data contract is the
+    Dataset's own."""
+    if d.m < 2:
+        raise DataError("invalid dataset: at least two features required")
 
 
 def require_finite_features(features) -> None:
     """Raise :class:`DataError` naming the non-finite cells of a feature
-    matrix, bounded like :func:`require_valid_dataset`."""
+    matrix, bounded and numbered as :class:`Dataset` names them."""
     bad = ~np.isfinite(np.asarray(features, dtype=float))
     _raise_bounded("invalid features", _cell_messages(bad), int(np.count_nonzero(bad)))
 

@@ -29,8 +29,6 @@ from .domain import (
     PrevNeuron,
     SplitAB,
     TrainConfig,
-    _require_binary_targets,
-    require_finite_features,
 )
 from .errors import DataError
 from .fitting import (
@@ -220,11 +218,7 @@ def select_best(summaries: list[RunSummary]) -> RunSummary:
     """The restart protocol's winner: minimal training error, ties broken
     by smaller model, then by lower run index.  An empty list raises
     ``ValueError``."""
-    return min(summaries, key=_selection_key)
-
-
-def _selection_key(summary: RunSummary) -> tuple[float, int, int]:
-    return summary.train_error_pct, summary.model_size, summary.run_index
+    return min(summaries, key=lambda s: (s.train_error_pct, s.model_size, s.run_index))
 
 
 def _restart(
@@ -261,11 +255,10 @@ def multi_run(
     All runs share the same odd/even fitting/validation split of ``train``;
     only the weight-initialization stream differs, seeded per run from
     ``config.seed``.  Train and test data are used exactly as given, so
-    normalize beforehand if normalization is wanted; both need finite
-    features and 0/1 targets.  Every restart grows a model, and an error
-    inside one propagates.  Returns the model with minimal training error
-    (ties: smaller model, then lower run index) plus one summary per run
-    in run order.
+    normalize beforehand if normalization is wanted; being Datasets, both
+    have finite features and 0/1 targets.  Every restart grows a model,
+    and an error inside one propagates.  Returns the model of the
+    :func:`select_best` run plus one summary per run in run order.
 
     ``jobs`` caps the processes the restarts run in.  With ``jobs == 1``,
     a single run, or on any platform but Linux, every restart runs in this
@@ -279,27 +272,12 @@ def multi_run(
         raise ValueError("runs must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if test is not None:
-        if test.m != train.m:
-            raise DataError(
-                f"train and test disagree on feature count: {train.m} vs {test.m}"
-            )
-        require_finite_features(test.features)
-        _require_binary_targets(test)
+    if test is not None and test.m != train.m:
+        raise DataError(
+            f"train and test disagree on feature count: {train.m} vs {test.m}"
+        )
     # Workers inherit the data and split; only run indices go out and only
     # (summary, model) pairs come back.
     restart = partial(_restart, train, test, config, split_odd_even(train))
-    return _keep_best(fork_map(restart, range(runs), min(jobs, runs)))
-
-
-def _keep_best(results) -> tuple[CascadeModel, list[RunSummary]]:
-    """Fold ``(summary, model)`` pairs, in run order, to the winner under
-    select_best's key: the same comparisons in the same order as min()
-    over every summary, one model held at a time."""
-    summaries: list[RunSummary] = []
-    best: tuple[tuple[float, int, int], CascadeModel] | None = None
-    for summary, model in results:
-        summaries.append(summary)
-        if best is None or _selection_key(summary) < best[0]:
-            best = (_selection_key(summary), model)
-    return best[1], summaries
+    summaries, models = zip(*fork_map(restart, range(runs), min(jobs, runs)))
+    return models[select_best(summaries).run_index], list(summaries)

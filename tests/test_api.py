@@ -193,6 +193,14 @@ class TestOneOwner:
     def test_the_sigmoid_clamp_has_no_second_owner(self):
         assert where_named("_clamp") == set()
 
+    @pytest.mark.parametrize("name", ["_target_messages", "_cell_messages"])
+    def test_the_data_contract_is_written_only_in_domain(self, name):
+        places = where_named(name)
+        assert places and {module for module, _ in places} == {"domain"}
+
+    def test_no_second_target_check_remains(self):
+        assert where_named("_require_binary_targets") == set()
+
 
 class TestModuleNames:
     def test_ecnn_evolve_is_the_module(self):

@@ -169,6 +169,16 @@ class TestClassify:
         X = rng.standard_normal((20, 2))
         np.testing.assert_array_equal(classify_batch(model, X), np.ones(20))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_cell_is_refused_not_labeled(self, value):
+        # Even in a column the model does not read.
+        model = build_cascade([np.zeros(3)], [1])
+        X = np.zeros((3, 3))
+        X[1, 2] = value
+        message = "^invalid features: non-finite feature value at row 2, column 2$"
+        with pytest.raises(DataError, match=message):
+            classify_batch(model, X)
+
     @given(
         lower=st.floats(min_value=0.01, max_value=0.98, allow_nan=False),
         gap=st.floats(min_value=0.001, max_value=0.5, allow_nan=False),

@@ -28,12 +28,14 @@ from conftest import (
 
 from ecnn import (
     CascadeModel,
+    Dataset,
     EcnnError,
     Feature,
     FeatureStats,
     NeuronSpec,
     TrainConfig,
     forward_batch,
+    load_csv,
     load_model,
     model_to_payload,
     save_model,
@@ -535,6 +537,60 @@ class TestEval:
         assert "data error" in stderr
 
 
+class TestColumnNames:
+    """A file as wide as the model must name its columns as the model
+    does: the same data with its columns reversed is refused, not scored."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, capsys, train_csv):
+        model = tmp_path / "m.ecnn"
+        code, _, _ = invoke(
+            capsys, "train", "--data", str(train_csv), "--label", "y",
+            "--runs", "2", "--jobs", "1", "--out", str(model),
+        )
+        assert code == 0
+        return model
+
+    @pytest.mark.parametrize("command", [["predict", "--label", "y"],
+                                         ["eval", "--label", "y"]],
+                             ids=["predict", "eval"])
+    def test_reversed_columns_exit_2_and_write_nothing(
+        self, tmp_path, capsys, train_csv, trained, command
+    ):
+        data = load_csv(train_csv, "y")
+        reversed_csv = tmp_path / "reversed.csv"
+        write_csv(reversed_csv, Dataset(
+            data.features[:, ::-1], data.targets, data.feature_names[::-1]
+        ))
+        scores = tmp_path / "scores.csv"
+        out = ["--out", str(scores)] if command[0] == "predict" else []
+        code, stdout, stderr = invoke(
+            capsys, *command, "--model", str(trained), "--data", str(reversed_csv), *out
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "data error: feature column 0 is 'x2' in the data but 'x0' in the model\n"
+        )
+        assert not scores.exists()
+
+    def test_the_same_names_in_another_label_place_score_alike(
+        self, tmp_path, capsys, train_csv, trained
+    ):
+        # The label column is not a feature, so where it stands is free.
+        lines = train_csv.read_text(encoding="utf-8").splitlines()
+        moved = tmp_path / "moved.csv"
+        moved.write_text("".join(
+            ",".join([line.rsplit(",", 1)[1], line.rsplit(",", 1)[0]]) + "\n"
+            for line in lines
+        ), encoding="utf-8")
+        results = [
+            invoke(capsys, "eval", "--model", str(trained), "--data", str(path),
+                   "--label", "y")
+            for path in (train_csv, moved)
+        ]
+        assert results[0][0] == 0 and results[0] == results[1]
+
+
 class TestLoaderWorkers:
     """The CLI's CSV loads on forked workers: predict and eval pass the
     usable CPUs, train its --jobs."""
@@ -664,10 +720,12 @@ THREE_NANS = (
     "non-finite feature value at row 2, column 0"
 )
 ABC = "{data}: non-numeric value 'abc' at row 2, column 'x1'"
-TWO_WANTED = "invalid dataset: at least two features required"
+NAN_AT_1_0 = "non-finite feature value at row 1, column 0"
 # (exit code, stdout, stderr, scores.csv) of predict --label y, predict
 # and eval --label y, recorded when every command converted every column;
-# {data} and {out} stand for the paths.
+# {data} and {out} stand for the paths.  Only train requires two feature
+# columns, so a one-feature file meets the width check, or the Dataset's
+# own contract.
 WHOLE_TABLE_OUTCOMES = {
     "nan-in-unused-column": (
         data_error(f"invalid dataset: {NAN_AT_1_1}"),
@@ -692,14 +750,14 @@ WHOLE_TABLE_OUTCOMES = {
         data_error("feature count mismatch: statistics cover 3 columns, data has 2"),
     ),
     "one-feature-file": (
-        data_error(TWO_WANTED),
+        data_error("feature count mismatch: statistics cover 3 columns, data has 1"),
         data_error("feature count mismatch: statistics cover 3 columns, data has 2"),
-        data_error(TWO_WANTED),
+        data_error("feature count mismatch: statistics cover 3 columns, data has 1"),
     ),
     "one-feature-file-with-nan": (
-        data_error(f"{TWO_WANTED}; non-finite feature value at row 1, column 0"),
-        data_error("invalid features: non-finite feature value at row 1, column 0"),
-        data_error(f"{TWO_WANTED}; non-finite feature value at row 1, column 0"),
+        data_error(f"invalid dataset: {NAN_AT_1_0}"),
+        data_error(f"invalid features: {NAN_AT_1_0}"),
+        data_error(f"invalid dataset: {NAN_AT_1_0}"),
     ),
     "one-feature-model": (
         (0, "predictions: {out} (2 rows)\n", "",

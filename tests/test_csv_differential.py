@@ -34,7 +34,6 @@ from ecnn import (
     load_csv,
     load_matrix_csv,
     require_finite_features,
-    require_valid_dataset,
     write_csv,
 )
 from ecnn.data_io import _parse_json_blocks, format_scores
@@ -620,11 +619,10 @@ def select_columns(matrix, columns):
 
 
 def reference_column_load_csv(path, label_column, features):
-    """The whole-file reference load, checked whole, then its columns."""
+    """The whole-file reference load, checked whole by its Dataset, then
+    its columns, its targets and its names."""
     data = reference_load_csv(path, label_column)
-    require_valid_dataset(data)
-    kept = Dataset(select_columns(data.features, features), data.targets)
-    return kept, data.feature_names
+    return select_columns(data.features, features), data.targets, data.feature_names
 
 
 def reference_column_load_matrix_csv(path, features):
@@ -634,8 +632,8 @@ def reference_column_load_matrix_csv(path, features):
 
 
 def assert_same_column_load(got, want):
-    assert_same_dataset(got[0], want[0])
-    assert got[1] == want[1]
+    assert_same_matrix(got[:1] + got[2:], want[:1] + want[2:])
+    assert bits(got[1]) == bits(want[1])
 
 
 def assert_column_loads_match(path, label_column, features, jobs=1):
@@ -848,9 +846,14 @@ FLOAT_PATTERNS = st.floats().map(
 )
 DOUBLE_PATTERNS = st.one_of(BIT_PATTERNS, IN_BAND_PATTERNS, FLOAT_PATTERNS)
 
+# Finite doubles, as a Dataset holds them.
+FINITE_PATTERNS = DOUBLE_PATTERNS.filter(
+    lambda pattern: np.isfinite(np.uint64(pattern).view(np.float64))
+)
+
 # The cells where orjson's notation changes, their neighbours, and the
 # extremes; every one of them, and its negation, must print like repr.
-BOUNDARY_CELLS = [0.0, 5e-324, 1e308, np.nan, np.inf] + [
+BOUNDARY_CELLS = [0.0, 5e-324, 1e308, np.finfo(float).max] + [
     np.nextafter(edge, toward)
     for edge in (1e-4, 1e-3, 1e15, 1e16)
     for toward in (0.0, edge, np.inf)
@@ -861,7 +864,7 @@ BOUNDARY_CELLS = [0.0, 5e-324, 1e308, np.nan, np.inf] + [
 def written_datasets(draw, min_rows=0):
     rows = draw(st.integers(min_rows, 6))
     cols = draw(st.integers(0, 5))
-    bits = draw(st.lists(DOUBLE_PATTERNS, min_size=rows * cols, max_size=rows * cols))
+    bits = draw(st.lists(FINITE_PATTERNS, min_size=rows * cols, max_size=rows * cols))
     targets = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows))
     names = draw(st.lists(
         st.from_regex(r"[a-x][a-z0-9_]{0,4}", fullmatch=True),
@@ -876,7 +879,7 @@ class TestStreamedWrite:
     def test_bytes_match_the_whole_text_writer(self, tmp_path, rng, n):
         features = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
         if n:
-            features[0] = [-0.0, np.nan, np.inf]
+            features[0] = [-0.0, 5e-324, -np.finfo(float).max]
         data = Dataset(features, (rng.random(n) < 0.5).astype(float), ("p", "q", "r"))
         path = tmp_path / "out.csv"
         write_csv(path, data, label_name="label")
@@ -919,16 +922,7 @@ class TestStreamedWrite:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 loaded = load_csv(path, "y")
-        nan = np.isnan(data.features)
-        # repr writes every NaN as "nan", so a NaN's sign and payload are
-        # not kept; every other cell must come back bit for bit.
-        assert np.array_equal(np.isnan(loaded.features), nan)
-        assert bits(np.where(nan, 0.0, loaded.features)) == bits(
-            np.where(nan, 0.0, data.features)
-        )
-        assert loaded.features.shape == data.features.shape
-        assert bits(loaded.targets) == bits(data.targets)
-        assert loaded.feature_names == data.feature_names
+        assert_same_dataset(loaded, data)
 
     def test_featureless_dataset_writes_labels_only(self, tmp_path):
         data = Dataset(np.empty((2, 0)), np.array([1.0, -0.0]))

@@ -313,8 +313,8 @@ class TestParseStages:
         else:
             monkeypatch.setattr(data_io, "_parse_json_blocks", lambda *args: None)
         whole = load_csv(path, "y")
-        columns, _ = load_csv(path, "y", features=[1])
-        for targets in (whole.targets, columns.targets):
+        _, column_targets, _ = load_csv(path, "y", features=[1])
+        for targets in (whole.targets, column_targets):
             want = np.array([0.0, 1.0])
             assert targets.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
@@ -414,10 +414,10 @@ class TestSplitOddEven:
             split_odd_even(data)
 
     def test_a_target_other_than_0_or_1_raises_at_its_row(self):
-        data = Dataset(np.zeros((4, 1)), np.array([0.0, 1.0, 0.5, 1.0]))
+        # No such Dataset reaches the split: its constructor refuses it.
         with pytest.raises(DataError,
                            match="^invalid dataset: non-binary target at row 3$"):
-            split_odd_even(data)
+            Dataset(np.zeros((4, 1)), np.array([0.0, 1.0, 0.5, 1.0]))
 
     def test_sets_partition_the_source_in_order(self):
         n = 9

@@ -59,6 +59,7 @@ class TestDataset:
 
     def test_a_frozen_view_is_copied(self):
         table = np.arange(12.0).reshape(4, 3)
+        table[:, 2] = [0.0, 1.0, 1.0, 0.0]
         table.flags.writeable = False
         d = Dataset(table[:, :2], table[:, 2])
         assert not np.shares_memory(d.features, table)
@@ -106,16 +107,68 @@ class TestDataset:
             Dataset([1.0, 2.0], [0.0])
 
 
+def reference_contract_message(features, targets):
+    """The constructor's message for ``features`` and ``targets``, built
+    from ``np.argwhere``, or None when both meet the data contract."""
+    bad_targets = np.argwhere((targets != 0.0) & (targets != 1.0))
+    bad_cells = np.argwhere(~np.isfinite(features))
+    problems = [f"non-binary target at row {i + 1}" for (i,) in bad_targets] + [
+        f"non-finite feature value at row {i + 1}, column {j}" for i, j in bad_cells
+    ]
+    if not problems:
+        return None
+    if len(problems) <= 10:
+        return "invalid dataset: " + "; ".join(problems)
+    return (
+        f"invalid dataset ({len(problems)} violations): "
+        + "; ".join(problems[:10])
+        + f"; and {len(problems) - 10} more"
+    )
+
+
+CONTRACT_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]), st.floats()
+)
+CONTRACT_TARGETS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.sampled_from([0.5, -1.0, 2.0, np.nan, np.inf, -np.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def contract_inputs(draw):
+    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 4))
+    cells = draw(st.lists(CONTRACT_CELLS, min_size=n * m, max_size=n * m))
+    targets = draw(st.lists(CONTRACT_TARGETS, min_size=n, max_size=n))
+    return np.array(cells, dtype=float).reshape(n, m), np.array(targets, dtype=float)
+
+
 class TestValidateDataset:
+    @given(contract_inputs())
+    def test_a_dataset_is_refused_exactly_when_it_breaks_the_contract(self, inputs):
+        features, targets = inputs
+        want = reference_contract_message(features, targets)
+        if want is None:
+            d = Dataset(features, targets)
+            assert d.n == len(targets) and d.m == features.shape[1]
+        else:
+            with pytest.raises(DataError) as excinfo:
+                Dataset(features, targets)
+            assert str(excinfo.value) == want
+
     def test_valid_dataset_has_no_violations(self):
         d = Dataset([[1, 2, 3], [4, 5, 6], [7, 8, 9], [0, 1, 2]], [0, 1, 1, 0])
         assert require_valid_dataset(d) is None
 
+    def test_negative_zero_is_valid_in_cells_and_targets(self):
+        d = Dataset([[-0.0, 1.0], [2.0, -0.0]], [-0.0, 1.0])
+        assert d.n == 2
+
     def test_non_binary_target_is_reported_with_row(self):
-        d = Dataset([[1, 2], [3, 4]], [0, 2])
         message = "^invalid dataset: non-binary target at row 2$"
         with pytest.raises(DataError, match=message):
-            require_valid_dataset(d)
+            Dataset([[1, 2], [3, 4]], [0, 2])
 
     def test_single_feature_is_rejected(self):
         d = Dataset([[1.0], [2.0]], [0, 1])
@@ -124,27 +177,24 @@ class TestValidateDataset:
             require_valid_dataset(d)
 
     def test_non_finite_feature_is_reported_with_position(self):
-        d = Dataset([[1, 2], [3, np.nan]], [0, 1])
         message = "non-finite feature value at row 2, column 1"
         with pytest.raises(DataError, match=message):
-            require_valid_dataset(d)
+            Dataset([[1, 2], [3, np.nan]], [0, 1])
 
-    def test_require_valid_raises_with_all_violations(self):
-        d = Dataset([[np.inf], [2.0]], [0, 3])
+    def test_every_violation_is_reported(self):
         with pytest.raises(DataError) as excinfo:
-            require_valid_dataset(d)
-        message = str(excinfo.value)
-        assert "non-binary target" in message
-        assert "at least two features" in message
-        assert "non-finite" in message
+            Dataset([[np.inf], [2.0]], [0, 3])
+        assert str(excinfo.value) == (
+            "invalid dataset: non-binary target at row 2; "
+            "non-finite feature value at row 1, column 0"
+        )
 
     def test_require_valid_passes_silently(self):
         require_valid_dataset(Dataset([[1, 2], [3, 4]], [0, 1]))
 
-    def test_require_valid_message_is_bounded_on_huge_bad_input(self):
-        d = Dataset(np.full((20000, 50), np.nan), np.zeros(20000))
+    def test_message_is_bounded_on_huge_bad_input(self):
         with pytest.raises(DataError) as excinfo:
-            require_valid_dataset(d)
+            Dataset(np.full((20000, 50), np.nan), np.zeros(20000))
         message = str(excinfo.value)
         assert len(message.encode("utf-8")) < 2048
         assert "1000000 violations" in message
@@ -152,21 +202,19 @@ class TestValidateDataset:
         assert message.count("non-finite feature value") == 10
         assert "row 1, column 9" in message and "column 10" not in message
 
-    def test_require_valid_lists_violations_in_order_before_the_cap(self):
+    def test_violations_are_listed_in_order_before_the_cap(self):
         features = np.ones((12, 2))
         features[3, 1] = np.inf
-        d = Dataset(features, [2.0] * 11 + [0.0])
         with pytest.raises(DataError) as excinfo:
-            require_valid_dataset(d)
+            Dataset(features, [2.0] * 11 + [0.0])
         message = str(excinfo.value)
         assert message.startswith("invalid dataset (12 violations): ")
         assert "non-binary target at row 10; and 2 more" in message
         assert "non-finite" not in message
 
-    def test_require_valid_small_message_lists_everything(self):
-        d = Dataset([[1, np.nan], [3, 4]], [0, 2])
+    def test_a_small_message_lists_everything(self):
         with pytest.raises(DataError) as excinfo:
-            require_valid_dataset(d)
+            Dataset([[1, np.nan], [3, 4]], [0, 2])
         assert str(excinfo.value) == (
             "invalid dataset: non-binary target at row 2; "
             "non-finite feature value at row 1, column 1"

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import concurrent.futures
-import gc
 import math
 import os
 import sys
-import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -368,24 +366,19 @@ class TestMultiRun:
         assert best.size == chosen.model_size
         assert used_features(best) == chosen.selected_features
 
-    def test_holds_only_the_running_best_model(self, small_dataset, monkeypatch):
+    def test_returns_the_model_the_select_best_run_grew(self, small_dataset, monkeypatch):
         grown = []
-        alive_at_each_restart = []
 
         def tracked_evolve(*args):
-            gc.collect()
-            alive_at_each_restart.append(sum(ref() is not None for ref in grown))
             model, trace = evolve(*args)
-            grown.append(weakref.ref(model))
+            grown.append(model)
             return model, trace
 
         monkeypatch.setattr(ecnn.evolve, "evolve", tracked_evolve)
         config = TrainConfig(seed=33)
         best, summaries = multi_run(small_dataset, None, config, runs=6)
-        # The best so far, plus the previous restart's model while its
-        # name is still bound.
-        assert max(alive_at_each_restart) <= 2
         chosen = select_best(summaries)
+        assert best is grown[chosen.run_index]
         direct, _ = evolve(
             split_odd_even(small_dataset), config, rng_for_run(33, chosen.run_index)
         )
@@ -516,36 +509,31 @@ class TestMultiRun:
         with pytest.raises(DataError, match="no feature columns"):
             split_odd_even(data)
 
+    # multi_run and split_odd_even take Datasets, and no Dataset breaks
+    # the data contract: its constructor refuses the data at its row.
     def test_non_finite_feature_raises_a_data_error_at_its_row(self, small_dataset):
         features = small_dataset.features.copy()
         features[5, 1] = np.nan
-        data = Dataset(features, small_dataset.targets)
-        message = "^invalid features: non-finite feature value at row 6, column 1$"
+        message = "^invalid dataset: non-finite feature value at row 6, column 1$"
         with pytest.raises(DataError, match=message):
-            multi_run(data, None, TrainConfig(), runs=2)
-        with pytest.raises(DataError, match=message):
-            split_odd_even(data)
+            Dataset(features, small_dataset.targets)
 
     def test_a_non_finite_test_feature_raises_at_its_row(self):
         train, _ = synth_dataset(100, 3, (0,), 0.3, 1)
         features = np.array(train.features)
         features[1::2, 1] = np.nan
-        test = Dataset(features, train.targets)
-        message = (r"^invalid features \(50 violations\): "
+        message = (r"^invalid dataset \(50 violations\): "
                    r"non-finite feature value at row 2, column 1; .* and 40 more$")
         with pytest.raises(DataError, match=message):
-            multi_run(train, test, TrainConfig(seed=1), runs=2)
+            Dataset(features, train.targets)
 
-    @pytest.mark.parametrize("side", ["train", "test"])
-    def test_a_target_other_than_0_or_1_raises_at_its_row(self, side):
+    def test_a_target_other_than_0_or_1_raises_at_its_row(self):
         data, _ = synth_dataset(200, 4, (1,), 0.3, 1)
-        twos = Dataset(data.features, 2.0 * data.targets)
-        first = int(np.flatnonzero(twos.targets == 2.0)[0]) + 1
+        first = int(np.flatnonzero(data.targets == 1.0)[0]) + 1
         message = (rf"^invalid dataset \(\d+ violations\): "
                    rf"non-binary target at row {first}; .* more$")
-        train, test = (twos, data) if side == "train" else (data, twos)
         with pytest.raises(DataError, match=message):
-            multi_run(train, test, TrainConfig(), runs=1)
+            Dataset(data.features, 2.0 * data.targets)
 
     def test_one_feature_trains(self):
         wide, _ = synth_dataset(60, 2, (0,), 0.3, 1)
