@@ -27,18 +27,22 @@ def forward_batch(
     must then provide exactly the training-time column count.  Only the
     columns the model reads are copied and normalized.
 
-    ``features`` holds whole rows, or, with ``width``, only the
-    :func:`used_features` columns of rows ``width`` features wide, in that
-    order, as ``load_csv(..., features=used_features(model))`` reads them.
-    The column count is checked against ``width`` then.
+    ``features`` holds whole rows, every cell finite (checked by
+    :func:`~ecnn.domain.require_finite_features` before any column is
+    picked), or, with ``width``, only the :func:`used_features` columns of
+    rows ``width`` features wide, in that order, as
+    ``load_csv(..., features=used_features(model))`` reads them from a
+    file it checked whole.  The column count is checked against ``width``
+    then.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise DataError(f"features must form a 2-dimensional matrix, got {X.shape}")
-    columns = used_features(model)
     whole = width is None
     if whole:
+        require_finite_features(X)
         width = X.shape[1]
+    columns = used_features(model)
     stats = model.normalization_stats
     if stats is not None:
         stats.require_width(width)
@@ -76,9 +80,8 @@ def forward_batch(
 
 def classify_batch(model: CascadeModel, features, threshold: float = 0.5) -> np.ndarray:
     """Vector of 0/1 labels for a batch of whole-row examples, as
-    :func:`forward_batch` takes them without ``width``: 1 where the final
-    output is at or above ``threshold``.  Every cell must be finite."""
-    require_finite_features(features)
+    :func:`forward_batch` takes and checks them without ``width``: 1 where
+    the final output is at or above ``threshold``."""
     _, final = forward_batch(model, features)
     return (final >= threshold).astype(float)
 

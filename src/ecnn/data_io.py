@@ -143,18 +143,6 @@ def _line_blocks(handle, size: int):
         yield tail
 
 
-def _line_start(handle, offset: int, end: int) -> int:
-    """The first offset at or after ``offset`` (> 0) where a line starts,
-    or ``end`` if none does before it."""
-    handle.seek(offset - 1)
-    while chunk := handle.read(_READ_BLOCK_BYTES):
-        found = chunk.find(b"\n")
-        if found >= 0:
-            return min(offset + found, end)
-        offset += len(chunk)
-    return end
-
-
 def _body_end(handle, begin: int, end: int) -> int:
     """Where the body ``[begin, end)`` of ``handle`` ends without the run of
     CR and LF bytes that closes it, which csv skips.  Only its last
@@ -169,28 +157,33 @@ def _line_ranges(handle, begin: int, end: int, parts: int) -> list[tuple[int, in
     """Bytes ``[begin, end)`` of ``handle`` cut at line ends into at most
     ``parts`` ranges of about equal size, each as (start, stop, first row,
     rows).  A range's rows are its line ends, plus one if it does not end
-    in one (only the last can)."""
-    cuts = [begin]
-    for part in range(1, parts):
-        target = begin + (end - begin) * part // parts
-        cut = _line_start(handle, max(target, cuts[-1] + 1), end)
-        if cut == end:
-            break
-        cuts.append(cut)
-    cuts.append(end)
+    in one (only the last can).  One pass reads the body, counts its lines
+    and finds cut ``k``: the first line start at or after ``k / parts`` of
+    the body and past cut ``k - 1``, if one lies before ``end``."""
     ranges = []
-    first = 0
-    for start, stop in zip(cuts, cuts[1:]):
-        handle.seek(start)
-        rows, size, last = 0, stop - start, b"\n"
-        while size > 0 and (chunk := handle.read(min(size, _READ_BLOCK_BYTES))):
-            # numpy's SIMD compare counts about 3 times as fast as bytes.count.
-            rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-            size -= len(chunk)
-            last = chunk[-1:]
-        rows += last != b"\n"
-        ranges.append((start, stop, first, rows))
-        first += rows
+    start, first, rows, part, last = begin, 0, 0, 1, b"\n"
+    handle.seek(begin)
+    offset = begin
+    while offset < end and (chunk := handle.read(min(end - offset, _READ_BLOCK_BYTES))):
+        # numpy's SIMD compare counts about 3 times as fast as bytes.count.
+        ends = np.frombuffer(chunk, np.uint8) == ord("\n")
+        counted = 0
+        while part < parts:
+            target = begin + (end - begin) * part // parts
+            # Not before the bytes counted, which end at the previous cut.
+            found = chunk.find(b"\n", max(target - 1 - offset, counted))
+            cut = offset + found + 1
+            # A line end that closes the body starts no range.
+            if found < 0 or cut == end:
+                break
+            rows += np.count_nonzero(ends[counted:found + 1])
+            ranges.append((start, cut, first, rows))
+            start, first, rows, counted = cut, first + rows, 0, found + 1
+            part += 1
+        rows += np.count_nonzero(ends[counted:])
+        offset += len(chunk)
+        last = chunk[-1:]
+    ranges.append((start, end, first, rows + (last != b"\n")))
     return ranges
 
 
@@ -216,6 +209,11 @@ def _table_columns(
     return columns + [label_idx], len(columns), absent
 
 
+def _floats(lines, rows: int, width: int) -> np.ndarray:
+    """``rows`` parsed lines of ``width`` cells each as a float table."""
+    return np.fromiter(chain.from_iterable(lines), float, rows * width).reshape(rows, width)
+
+
 def _parse_range(path, table, width: int, columns, label_slot, line_range) -> bool:
     """Screen and parse one range of the body, block by block, into its
     rows of ``table`` in place; True if every block passes.
@@ -229,16 +227,20 @@ def _parse_range(path, table, width: int, columns, label_slot, line_range) -> bo
     cells, so a blank line inside the body is refused, and every CR must
     be followed by an LF: orjson reads a lone CR as a space, csv as a
     line end.  Only the file ``columns`` the table keeps (all when None)
-    are converted to floats.  orjson reads the integer ``-0`` as 0, where
-    ``float("-0")`` is -0.0, so where a block's kept feature cells hold a
-    zero (``label_slot``, the label's table column, aside: a ``-0`` label
-    reads as 0 in every parse), the block is converted whole and its sign
-    bits must equal its mantissa minus signs.  The blocks must fill the
-    range's rows exactly.
+    are converted to floats, by :func:`_floats` as every block is.  orjson
+    reads the integer ``-0`` as 0, where ``float("-0")`` is -0.0, so where
+    a block's kept feature cells hold a zero (``label_slot``, the label's
+    table column, aside: a ``-0`` label reads as 0 in every parse), the
+    block is converted whole, and its sign bits must equal its mantissa
+    minus signs.  The blocks must fill the range's rows exactly.
     """
     start, stop, first, rows = line_range
     out = table[first:first + rows]
-    pick = None if columns is None else operator.itemgetter(*columns)
+    # itemgetter of one column gives the cell itself; of a one-column
+    # slice, a list.
+    pick = None if columns is None else operator.itemgetter(
+        *columns if len(columns) > 1 else [slice(columns[0], columns[0] + 1)]
+    )
     limit = csv.field_size_limit()
     row = 0
     try:
@@ -258,20 +260,13 @@ def _parse_range(path, table, width: int, columns, label_slot, line_range) -> bo
                     b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
                 ):
                     return False
-                if pick is None:
-                    cells = np.array(lines, dtype=float)
-                else:
-                    # itemgetter of one column gives the cell, not a tuple.
-                    picked = map(pick, lines)
-                    if len(columns) > 1:
-                        picked = chain.from_iterable(picked)
-                    cells = np.fromiter(picked, float, len(lines) * len(columns))
-                    cells = cells.reshape(len(lines), len(columns))
+                kept = lines if pick is None else map(pick, lines)
+                cells = _floats(kept, len(lines), out.shape[1])
                 zero = cells == 0.0
                 if label_slot is not None:
                     zero[:, label_slot] = False
                 if zero.any():
-                    whole = cells if pick is None else np.array(lines, dtype=float)
+                    whole = cells if pick is None else _floats(lines, len(lines), width)
                     # Minus signs of mantissas; an exponent's follows its e.
                     signs = block.translate(None, _DIGIT_BYTES)
                     minus = signs.count(b"-") - signs.count(b"e-") - signs.count(b"E-")
@@ -372,10 +367,11 @@ def _load_table(
     :func:`_parse_json_blocks` serves the file if it can vouch for it;
     every cell it accepts is finite.  Any other file is parsed again cell
     by cell by :func:`_parse_cells`, which loads it or raises its exact
-    error.  A table of some columns stands for the whole file, so the
-    per-cell table is first checked whole: a labeled one by the
-    :class:`~ecnn.domain.Dataset` constructor, an unlabeled one by
-    :func:`~ecnn.domain.require_finite_features`.
+    error.  The per-cell table is checked whole before any column is
+    picked: an unlabeled one by :func:`~ecnn.domain.require_finite_features`
+    always, a labeled one by the :class:`~ecnn.domain.Dataset` constructor,
+    here when a table of some columns stands for the whole file and in
+    :func:`load_csv` otherwise.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -385,12 +381,12 @@ def _load_table(
     if parsed is not None:
         return parsed
     header, table, label_idx = _parse_cells(path, label_column)
-    if features is None:
-        return header, table, label_idx
     if label_idx is None:
         require_finite_features(table)
-    else:
+    elif features is not None:
         Dataset(np.delete(table, label_idx, axis=1), table[:, label_idx])
+    if features is None:
+        return header, table, label_idx
     columns, _, absent = _table_columns(len(header), label_idx, features)
     kept = table[:, columns]
     kept[:, absent] = np.nan
@@ -403,11 +399,13 @@ def load_matrix_csv(
     """Parse a headed CSV where every column is a feature.
 
     Returns the value matrix and the header names; useful for unlabeled
-    prediction inputs.  ``jobs`` is as for :func:`load_csv`; a matrix
-    parsed by several workers lives in a shared ``mmap`` that goes when
-    the matrix does.  ``features``, a list of 0-based column indices,
-    keeps only those columns, as for :func:`load_csv`, and the names stay
-    the whole header, so ``len(names)`` is the file's width.
+    prediction inputs.  A non-finite cell is refused as
+    :func:`~ecnn.domain.require_finite_features` refuses it.  ``jobs`` is
+    as for :func:`load_csv`; a matrix parsed by several workers lives in a
+    shared ``mmap`` that goes when the matrix does.  ``features``, a list
+    of 0-based column indices, keeps only those columns, as for
+    :func:`load_csv`, and the names stay the whole header, so
+    ``len(names)`` is the file's width.
     """
     header, table, _ = _load_table(path, None, jobs, features)
     return table, tuple(header)

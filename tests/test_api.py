@@ -201,6 +201,10 @@ class TestOneOwner:
     def test_no_second_target_check_remains(self):
         assert where_named("_require_binary_targets") == set()
 
+    def test_line_ranges_finds_its_own_cuts(self):
+        # The pass that counts the body's lines finds the cuts too.
+        assert where_named("_line_start") == set()
+
 
 class TestModuleNames:
     def test_ecnn_evolve_is_the_module(self):

@@ -154,6 +154,16 @@ class TestForward:
         _, want = forward_batch(bare, stats.transform(X))
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("row, bad", [
+        ([np.nan, 0.0, 0.0], 0), ([0.0, 0.0, np.inf], 2), ([0.0, -np.inf, 0.0], 1),
+    ], ids=["anchor-column", "unread-column", "candidate-column"])
+    def test_whole_rows_with_a_non_finite_cell_are_refused(self, row, bad):
+        # The model reads columns 0 and 1; column 2 is checked all the same.
+        model = build_cascade([np.zeros(3)], [1])
+        message = f"^invalid features: non-finite feature value at row 2, column {bad}$"
+        with pytest.raises(DataError, match=message):
+            forward_batch(model, [[0.0, 0.0, 0.0], row])
+
 
 class TestClassify:
     def test_boundary_output_maps_to_one(self):

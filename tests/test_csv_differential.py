@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import decimal
+import io
 import math
 import sys
 import tempfile
@@ -85,6 +86,7 @@ def reference_load_matrix_csv(path):
     for i, row in enumerate(body):
         for j, cell in enumerate(row):
             values[i, j] = reference_cell(cell, i + 1, header[j], path)
+    require_finite_features(values)
     return values, tuple(header)
 
 
@@ -606,6 +608,98 @@ class TestSplitStageMatchesOneWorker:
         assert started == ([] if lines == 1 else [2] * 6)
 
 
+# -- cutting the body into ranges --------------------------------------------
+
+
+def reference_line_start(handle, offset, end):
+    """The first line start at or after ``offset`` (> 0), or ``end``."""
+    handle.seek(offset - 1)
+    while chunk := handle.read(data_io._READ_BLOCK_BYTES):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return min(offset + found, end)
+        offset += len(chunk)
+    return end
+
+
+def reference_line_ranges(handle, begin, end, parts):
+    """The cuts sought one by one, then each range read again to count
+    its rows."""
+    cuts = [begin]
+    for part in range(1, parts):
+        target = begin + (end - begin) * part // parts
+        cut = reference_line_start(handle, max(target, cuts[-1] + 1), end)
+        if cut == end:
+            break
+        cuts.append(cut)
+    cuts.append(end)
+    ranges = []
+    first = 0
+    for start, stop in zip(cuts, cuts[1:]):
+        handle.seek(start)
+        rows, size, last = 0, stop - start, b"\n"
+        while size > 0 and (chunk := handle.read(min(size, data_io._READ_BLOCK_BYTES))):
+            rows += chunk.count(b"\n")
+            size -= len(chunk)
+            last = chunk[-1:]
+        rows += last != b"\n"
+        ranges.append((start, stop, first, rows))
+        first += rows
+    return ranges
+
+
+class CountingReader(io.BytesIO):
+    """Bytes in memory that count what ``read`` hands out."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.bytes_read += len(chunk)
+        return chunk
+
+
+@st.composite
+def bodies(draw):
+    """A text of short lines ended by LF or CRLF, the last maybe without
+    its end, and a ``[begin, end)`` inside it."""
+    lines = draw(st.lists(st.binary(max_size=12).map(lambda line: line.replace(b"\n", b"")),
+                          max_size=10))
+    line_end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    text = b"".join(line + line_end for line in lines)
+    if draw(st.booleans()):
+        text = text.removesuffix(line_end)
+    begin = draw(st.integers(0, len(text)))
+    return text, begin, draw(st.integers(begin, len(text)))
+
+
+class TestLineRanges:
+    """``_line_ranges`` reads the body once and cuts it where the cuts
+    sought one by one fall."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=bodies(), parts=st.integers(1, 5), block=st.sampled_from([8, 64, 1 << 16]))
+    def test_same_ranges_as_the_cuts_sought_one_by_one(self, body, parts, block):
+        text, begin, end = body
+        with pytest.MonkeyPatch.context() as patch:
+            # Blocks of 8 and 64 bytes put cuts and line ends on block edges.
+            patch.setattr(data_io, "_READ_BLOCK_BYTES", block)
+            handle = CountingReader(text)
+            got = data_io._line_ranges(handle, begin, end, parts)
+            assert got == reference_line_ranges(io.BytesIO(text), begin, end, parts)
+        assert handle.bytes_read == end - begin
+
+    def test_every_body_byte_is_read_once(self):
+        # 200 kB of body: several blocks of the shipped size per range.
+        text = b"a,b,y\n" + b"1.0,2.0,1\n" * 20000
+        handle = CountingReader(text)
+        ranges = data_io._line_ranges(handle, 6, len(text), 4)
+        assert [(start, rows) for start, _, _, rows in ranges] == [
+            (6 + 50000 * k, 5000) for k in range(4)
+        ]
+        assert handle.bytes_read == len(text) - 6
+
+
 # -- the column load ---------------------------------------------------------
 
 
@@ -627,7 +721,6 @@ def reference_column_load_csv(path, label_column, features):
 
 def reference_column_load_matrix_csv(path, features):
     values, names = reference_load_matrix_csv(path)
-    require_finite_features(values)
     return select_columns(values, features), names
 
 

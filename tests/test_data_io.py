@@ -138,6 +138,17 @@ class TestLoadCsv:
         assert peak < 20000 * 31 * 8 / 3
 
 
+class TestLoadMatrixCsv:
+    @pytest.mark.parametrize("features", [None, [0]], ids=["whole", "column"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_non_finite_cell_is_refused(self, tmp_path, monkeypatch, jobs, features):
+        monkeypatch.setattr(data_io, "_MIN_WORKER_BYTES", 8)
+        path = write_text(tmp_path / "d.csv", "a,b\n1.0,nan\n2.0,3.0\n")
+        message = "^invalid features: non-finite feature value at row 1, column 1$"
+        with deadline(60), pytest.raises(DataError, match=message):
+            load_matrix_csv(path, jobs=jobs, features=features)
+
+
 class TestSplitLoad:
     """``load_csv(..., jobs)`` with the first stage on forked workers."""
 
