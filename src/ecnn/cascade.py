@@ -9,69 +9,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import CascadeModel, Dataset, Feature, FeatureStats, require_finite_features
+from .domain import CascadeModel, Dataset, require_finite_features
 from .errors import DataError
 from .fitting import design_matrix, sigmoid
 
 __all__ = ["forward_batch", "classify_batch", "used_features", "error_rate"]
 
 
-def forward_batch(
-    model: CascadeModel, features, width=None
-) -> tuple[np.ndarray, np.ndarray]:
+def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every neuron on a batch of raw examples.
 
     Returns (outputs, final) where outputs has one row per neuron in layer
-    order and final is the last row.  When the model carries normalization
-    statistics they are applied to the raw features first; the features
-    must then provide exactly the training-time column count.  Only the
-    columns the model reads are copied and normalized.
-
-    ``features`` holds whole rows, every cell finite (checked by
-    :func:`~ecnn.domain.require_finite_features` before any column is
-    picked), or, with ``width``, only the :func:`used_features` columns of
-    rows ``width`` features wide, in that order, as
-    ``load_csv(..., features=used_features(model))`` reads them from a
-    file it checked whole.  The column count is checked against ``width``
-    then.
+    order and final is the last row.  ``features`` holds whole rows as wide
+    as :meth:`~ecnn.domain.CascadeModel.require_width` requires, every cell
+    finite, even in a column the model does not read.  Only the
+    :func:`used_features` columns are copied and, with the model's
+    statistics, normalized: ``model.on_columns`` of them evaluates them.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise DataError(f"features must form a 2-dimensional matrix, got {X.shape}")
-    whole = width is None
-    if whole:
-        require_finite_features(X)
-        width = X.shape[1]
+    require_finite_features(X)
+    model.require_width(X.shape[1])
     columns = used_features(model)
-    stats = model.normalization_stats
-    if stats is not None:
-        stats.require_width(width)
-    elif width < model.required_features:
-        raise DataError(
-            f"model reads {model.required_features} feature columns, "
-            f"data has {width}"
-        )
-    if whole:
-        X = X[:, columns]
-    elif X.shape[1] != len(columns):
-        raise DataError(
-            f"features hold {X.shape[1]} columns, the model reads {len(columns)}"
-        )
-    if stats is not None:
-        chosen = list(columns)
-        X = FeatureStats(stats.mean[chosen], stats.std[chosen]).transform(X)
-    # Feature column c of the model is column slot[c] of X.
-    slot = {column: k for k, column in enumerate(columns)}
+    model, X = model.on_columns(columns), X[:, columns]
+    if model.normalization_stats is not None:
+        X = model.normalization_stats.transform(X)
     n = X.shape[0]
     outputs = np.empty((model.size, n))
     for idx, neuron in enumerate(model.neurons):
-        wiring = tuple(
-            Feature(slot[src.column]) if isinstance(src, Feature) else src
-            for src in neuron.wiring
-        )
         # The bias is added apart from the product: folding it into
         # ``weights @ U`` as fitting does changes the last bits of scores.
-        U = design_matrix(X, wiring, outputs[:idx])
+        U = design_matrix(X, neuron.wiring, outputs[:idx])
         # A huge finite weight overflows to inf, which the clamp saturates.
         with np.errstate(over="ignore"):
             outputs[idx] = sigmoid(neuron.weights[0] + neuron.weights[1:] @ U[1:])
@@ -80,8 +49,8 @@ def forward_batch(
 
 def classify_batch(model: CascadeModel, features, threshold: float = 0.5) -> np.ndarray:
     """Vector of 0/1 labels for a batch of whole-row examples, as
-    :func:`forward_batch` takes and checks them without ``width``: 1 where
-    the final output is at or above ``threshold``."""
+    :func:`forward_batch` takes and checks them: 1 where the final output
+    is at or above ``threshold``."""
     _, final = forward_batch(model, features)
     return (final >= threshold).astype(float)
 

@@ -369,7 +369,8 @@ def _score(args):
             f"feature column {j} is {names[j]!r} in the data but {expected[j]!r} "
             "in the model"
         )
-    _, outputs = forward_batch(model, features, len(names))
+    model.require_width(len(names))
+    _, outputs = forward_batch(model.on_columns(columns), features)
     return outputs, outputs >= threshold, targets
 
 

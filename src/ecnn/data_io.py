@@ -9,6 +9,7 @@ parse a large file, aside).
 from __future__ import annotations
 
 import csv
+import io
 import mmap
 import operator
 import os
@@ -433,11 +434,12 @@ def load_csv(
 
     ``features``, a list of 0-based feature indices (the label column not
     counted, as a model numbers them), asks for those columns alone, as
-    scoring needs them.  The result is then ``(features, targets,
-    names)``: an array of only those columns, in that order (a column the
-    file lacks reads NaN, so it is no Dataset), the labels, and all the
-    file's feature names.  Every cell is still parsed, and the whole file
-    is checked, so a fault in a dropped column still raises.
+    ``model.on_columns(features)`` reads them.  The result is then
+    ``(features, targets, names)``: an array of only those columns, in
+    that order (a column the file lacks reads NaN, so it is no Dataset),
+    the labels, and all the file's feature names.  Every cell is still
+    parsed, and the whole file is checked, so a fault in a dropped column
+    still raises.
     """
     header, table, label_idx = _load_table(path, label_column, jobs, features)
     names = tuple(header[:label_idx] + header[label_idx + 1:])
@@ -492,7 +494,9 @@ def write_csv(path, dataset: Dataset, label_name: str = "y") -> None:
     names = dataset.feature_names or tuple(f"x{j}" for j in range(dataset.m))
     line = b"%b,%d\n" if dataset.m else b"%b%d\n"
     with open(path, "wb") as handle:
-        handle.write((",".join(names + (label_name,)) + "\n").encode("utf-8"))
+        header = io.StringIO()  # csv quotes a name holding \r or \n under "\r\n"
+        csv.writer(header, lineterminator="\r\n").writerow(names + (label_name,))
+        handle.write((header.getvalue()[:-2] + "\n").encode("utf-8"))
         for a in range(0, dataset.n, _WRITE_BLOCK_ROWS):
             b = a + _WRITE_BLOCK_ROWS
             rows = _float_rows(dataset.features[a:b])

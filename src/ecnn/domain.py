@@ -453,16 +453,41 @@ class CascadeModel:
 
     @property
     def required_features(self) -> int:
-        """How many feature columns an input row must provide.
-
-        Exact when normalization statistics or feature names are attached,
-        otherwise the smallest width the wiring can be evaluated on.
-        """
+        """How many feature columns an input row must provide, as
+        :meth:`require_width` holds it: exactly, or at least that many."""
         if self.normalization_stats is not None:
             return self.normalization_stats.m
         if self.feature_names is not None:
             return len(self.feature_names)
         return max(c for nr in self.neurons for c in nr.feature_columns()) + 1
+
+    def require_width(self, width: int) -> None:
+        """Raise :class:`DataError` unless this model reads rows ``width``
+        features wide: exactly as wide as its statistics or names, else at
+        least as wide as its wiring reads (:attr:`required_features`)."""
+        if self.normalization_stats is not None:
+            return self.normalization_stats.require_width(width)
+        required = self.required_features
+        if width < required or (self.feature_names is not None and width != required):
+            raise DataError(f"model reads {required} feature columns, data has {width}")
+
+    def on_columns(self, columns) -> "CascadeModel":
+        """This model rewired so that its feature column k is ``columns[k]``,
+        statistics and names cut to those columns: on rows picked to
+        ``columns`` it gives the bits this model gives on the whole rows.
+        A column the wiring reads and ``columns`` lacks raises KeyError."""
+        columns = list(columns)
+        slot = {column: k for k, column in enumerate(columns)}
+        neurons = [NeuronSpec(nr.layer, [
+            Feature(slot[src.column]) if isinstance(src, Feature) else src
+            for src in nr.wiring
+        ], nr.weights) for nr in self.neurons]
+        stats, names = self.normalization_stats, self.feature_names
+        return CascadeModel(
+            neurons, slot[self.anchor_feature], self.criterion_history,
+            None if stats is None else FeatureStats(stats.mean[columns], stats.std[columns]),
+            None if names is None else tuple(names[c] for c in columns),
+        )
 
     def with_normalization(self, stats: FeatureStats | None) -> "CascadeModel":
         """Copy of this model with ``stats`` as its normalization."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -205,6 +206,16 @@ class TestOneOwner:
         # The pass that counts the body's lines finds the cuts too.
         assert where_named("_line_start") == set()
 
+    def test_forward_batch_takes_whole_rows_only(self):
+        assert list(inspect.signature(ecnn.forward_batch).parameters) == [
+            "model", "features"
+        ]
+
+    def test_the_width_rule_is_written_only_in_domain(self):
+        # Everything else asks the model's require_width.
+        places = where_named("required_features")
+        assert places and {module for module, _ in places} == {"domain"}
+
 
 class TestModuleNames:
     def test_ecnn_evolve_is_the_module(self):
@@ -314,14 +325,27 @@ def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
     assert "INTERNALERROR" not in result.stdout + result.stderr
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo, tmp_path):
+def run_with_warnings_as_errors(script, cwd):
+    """Run ``python -W error`` on ``script`` (its arguments) with the
+    sources on the path; the finished process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    result = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, "-W", "error", *script], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    result = run_with_warnings_as_errors([str(demo)], tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_readme_library_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    result = run_with_warnings_as_errors(["-c", example], tmp_path)
     assert (result.returncode, result.stderr) == (0, "")

@@ -87,6 +87,14 @@ class TestForward:
         with pytest.raises(DataError, match="2 feature columns"):
             forward_batch(model, [[1.0]])
 
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_a_named_model_reads_rows_exactly_as_wide_as_its_names(self, width):
+        model = build_cascade([np.zeros(3)], [1], feature_names=("a", "b", "c", "d"))
+        assert forward_batch(model, np.zeros((2, 4)))[1].tolist() == [0.5, 0.5]
+        message = f"^model reads 4 feature columns, data has {width}$"
+        with pytest.raises(DataError, match=message):
+            forward_batch(model, np.zeros((2, width)))
+
     def test_exact_width_enforced_with_stats(self):
         stats = FeatureStats(np.zeros(2), np.ones(2))
         model = build_cascade([np.zeros(3)], [1], stats=stats)
@@ -124,13 +132,28 @@ class TestForward:
         # the batch size, so single rows may differ in the last bits.
         gen = np.random.default_rng(seed)
         model, _ = random_cascade(gen)
-        m = model.normalization_stats.m if model.normalization_stats else 8
+        named = model.normalization_stats or model.feature_names
+        m = model.required_features if named else 8
         X = gen.normal(0.0, 2.0, (n, m))
         batch_outputs, _ = forward_batch(model, X)
         for i in gen.choice(n, size=min(n, 8), replace=False):
             outputs, _ = forward_batch(model, X[i][None])
             np.testing.assert_allclose(outputs[:, 0], batch_outputs[:, i],
                                        rtol=1e-12, atol=0)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_the_model_on_its_used_columns_gives_the_same_bits(self, seed, n):
+        gen = np.random.default_rng(seed)
+        model, _ = random_cascade(gen)
+        named = model.normalization_stats or model.feature_names
+        extra = 0 if named else int(gen.integers(0, 3))
+        X = gen.normal(0.0, 2.0, (n, model.required_features + extra))
+        cols = used_features(model)
+        got = forward_batch(model.on_columns(cols), X[:, cols])
+        want = forward_batch(model, X)
+        for a, b in zip(got, want):
+            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
 
     def test_normalization_is_applied_before_evaluation(self, rng):
         stats = FeatureStats(mean=[1.0, -2.0], std=[2.0, 0.5])

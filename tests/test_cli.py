@@ -413,6 +413,23 @@ class TestPredict:
         assert code == 2
         assert "feature count mismatch" in stderr
 
+    @pytest.mark.parametrize("command, width", [
+        (["predict"], 6), (["predict", "--label", "f"], 5), (["eval", "--label", "f"], 5),
+    ], ids=["predict", "predict-label", "eval"])
+    def test_a_named_model_without_statistics_refuses_wider_rows(
+        self, tmp_path, capsys, command, width
+    ):
+        # The names check is skipped when the widths differ; the width is not.
+        model = build_cascade([np.array([0.0, 1.0, -1.0])], candidate_features=[1],
+                              feature_names=("x0", "x1", "x2", "x3"))
+        path = tmp_path / "m.ecnn"
+        save_model(path, model, TrainConfig())
+        data = self.data_csv(tmp_path, ["0,1,2,3,4,1", "1,2,3,4,5,0"], header="a,b,c,d,e,f")
+        got = invoke(capsys, *command, "--model", str(path), "--data", str(data))
+        assert got == (
+            2, "", f"data error: model reads 4 feature columns, data has {width}\n"
+        )
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("labeled", [False, True])
     def test_non_finite_feature_is_a_data_error(self, tmp_path, saved_model,

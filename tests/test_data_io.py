@@ -342,6 +342,13 @@ class TestWriteCsv:
         np.testing.assert_array_equal(back.targets, data.targets)
         assert back.feature_names == data.feature_names
 
+    @pytest.mark.parametrize("name", ["a,b", '"hi" there', "line\nbreak", "cr\r, crlf\r\n."])
+    def test_names_holding_csv_syntax_round_trip(self, tmp_path, name):
+        data = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]), (name, "plain"))
+        path = tmp_path / "out.csv"
+        write_csv(path, data, label_name=name + "y")
+        assert load_csv(path, label_column=name + "y").feature_names == (name, "plain")
+
     def test_default_names_are_generated(self, tmp_path):
         data = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]))
         path = tmp_path / "out.csv"

@@ -391,6 +391,17 @@ class TestCascadeModel:
         stats = FeatureStats(np.zeros(7), np.ones(7))
         assert _two_layer_model(normalization_stats=stats).required_features == 7
 
+    def test_on_columns_rewires_and_cuts_the_metadata(self):
+        stats = FeatureStats(np.arange(4.0), np.ones(4))
+        model = _two_layer_model(normalization_stats=stats, feature_names=tuple("abcd"))
+        picked = model.on_columns([2, 0, 1])
+        assert picked.anchor_feature == 1
+        assert [nr.feature_columns() for nr in picked.neurons] == [(1, 2), (1, 0)]
+        assert picked.normalization_stats.mean.tolist() == [2.0, 0.0, 1.0]
+        assert picked.feature_names == ("c", "a", "b")
+        with pytest.raises(KeyError, match="2"):
+            model.on_columns([0, 1])
+
     def test_normalization_must_cover_wired_columns(self):
         stats = FeatureStats(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError, match="column 2"):
