@@ -22,13 +22,14 @@ def main():
     split = split_odd_even(data)
     print(f"dataset: {data.n} examples, {data.m} features; "
           f"feature {truth.relevant[0]} drives the label")
-    print(f"split: {split.set_a.n} fitting (A) / {split.set_b.n} validation (B)")
+    print(f"split: {split.rows.n - split.n_b} fitting (A) / "
+          f"{split.n_b} validation (B)")
 
     config = TrainConfig(delta=0.0015, max_fit_steps=100)
     rng = np.random.default_rng(12)
 
-    informative = fit_neuron(split, (Feature(2),), None, None, config, rng)
-    noise = fit_neuron(split, (Feature(1),), None, None, config, rng)
+    informative = fit_neuron(split, (Feature(2),), None, config, rng)
+    noise = fit_neuron(split, (Feature(1),), None, config, rng)
 
     for name, result in (("informative x2", informative), ("noise-only x1", noise)):
         head = ", ".join(f"{v:.4f}" for v in result.eb_trace[:4])

@@ -13,7 +13,6 @@ from ecnn import (
     rng_for_run,
     split_odd_even,
     synth_dataset,
-    used_features,
 )
 from ecnn.evolve import evolve
 
@@ -45,7 +44,7 @@ def main():
     history = " -> ".join(f"{c:.4f}" for c in model.criterion_history)
     print(f"\ncriterion history: {history}")
     print(f"final cascade: {model.size} neuron(s) on features "
-          f"{used_features(model)}")
+          f"{model.used_features}")
     print(f"training error: {error_rate(model, data):.2f}%")
 
 

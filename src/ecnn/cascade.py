@@ -13,7 +13,7 @@ from .domain import CascadeModel, Dataset, require_finite_features
 from .errors import DataError
 from .fitting import design_matrix, sigmoid
 
-__all__ = ["forward_batch", "classify_batch", "used_features", "error_rate"]
+__all__ = ["forward_batch", "classify_batch", "error_rate"]
 
 
 def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray]:
@@ -23,16 +23,15 @@ def forward_batch(model: CascadeModel, features) -> tuple[np.ndarray, np.ndarray
     order and final is the last row.  ``features`` holds whole rows as wide
     as :meth:`~ecnn.domain.CascadeModel.require_width` requires, every cell
     finite, even in a column the model does not read.  Only the
-    :func:`used_features` columns are copied and, with the model's
-    statistics, normalized: ``model.on_columns`` of them evaluates them.
+    ``model.used_features`` columns are copied and, with the model's
+    statistics, normalized: ``model.on_columns()`` evaluates them.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise DataError(f"features must form a 2-dimensional matrix, got {X.shape}")
     require_finite_features(X)
     model.require_width(X.shape[1])
-    columns = used_features(model)
-    model, X = model.on_columns(columns), X[:, columns]
+    model, X = model.on_columns(), X[:, model.used_features]
     if model.normalization_stats is not None:
         X = model.normalization_stats.transform(X)
     n = X.shape[0]
@@ -53,15 +52,6 @@ def classify_batch(model: CascadeModel, features, threshold: float = 0.5) -> np.
     is at or above ``threshold``."""
     _, final = forward_batch(model, features)
     return (final >= threshold).astype(float)
-
-
-def used_features(model: CascadeModel) -> tuple[int, ...]:
-    """Feature columns read by the model, in first-use order, without repeats."""
-    seen: dict[int, None] = {}
-    for neuron in model.neurons:
-        for column in neuron.feature_columns():
-            seen.setdefault(column, None)
-    return tuple(seen)
 
 
 def error_rate(model: CascadeModel, data: Dataset, threshold: float = 0.5) -> float:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import forward_batch, used_features
+from .cascade import forward_batch
 from .data_io import (
     format_scores,
     load_csv,
@@ -250,9 +250,7 @@ def _format_pct(value: float) -> str:
 
 
 def _feature_label(column: int, names) -> str:
-    if names is not None and column < len(names):
-        return f"{names[column]} ({column})"
-    return str(column)
+    return str(column) if names is None else f"{names[column]} ({column})"
 
 
 def _write_summary_csv(path, summaries) -> None:
@@ -354,7 +352,7 @@ def _score(args):
     model, config = load_model(args.model)
     threshold = _threshold(args.threshold, config)
     # Only the model's columns are converted; the loaders check the rest.
-    jobs, columns = _usable_cpus(), used_features(model)
+    jobs, columns = _usable_cpus(), model.used_features
     if args.label is not None:
         features, targets, names = load_csv(
             args.data, args.label, jobs=jobs, features=columns
@@ -370,7 +368,7 @@ def _score(args):
             "in the model"
         )
     model.require_width(len(names))
-    _, outputs = forward_batch(model.on_columns(columns), features)
+    _, outputs = forward_batch(model.on_columns(), features)
     return outputs, outputs >= threshold, targets
 
 

@@ -434,7 +434,7 @@ def load_csv(
 
     ``features``, a list of 0-based feature indices (the label column not
     counted, as a model numbers them), asks for those columns alone, as
-    ``model.on_columns(features)`` reads them.  The result is then
+    ``model.on_columns()`` reads its ``used_features``.  The result is then
     ``(features, targets, names)``: an array of only those columns, in
     that order (a column the file lacks reads NaN, so it is no Dataset),
     the labels, and all the file's feature names.  Every cell is still
@@ -489,13 +489,17 @@ def write_csv(path, dataset: Dataset, label_name: str = "y") -> None:
     """Write a Dataset as a headed CSV, label column last.
 
     Floats are written in shortest round-trip form, labels as bare 0/1,
-    so reading the file back reproduces the dataset bit for bit.
+    so reading the file back reproduces the dataset bit for bit.  A name
+    that :func:`load_csv` would strip raises ``ValueError`` before any write.
     """
     names = dataset.feature_names or tuple(f"x{j}" for j in range(dataset.m))
+    names += (label_name,)
+    if padded := [name for name in names if name != name.strip()]:
+        raise ValueError(f"column name {padded[0]!r} has whitespace that load_csv strips")
     line = b"%b,%d\n" if dataset.m else b"%b%d\n"
     with open(path, "wb") as handle:
         header = io.StringIO()  # csv quotes a name holding \r or \n under "\r\n"
-        csv.writer(header, lineterminator="\r\n").writerow(names + (label_name,))
+        csv.writer(header, lineterminator="\r\n").writerow(names)
         handle.write((header.getvalue()[:-2] + "\n").encode("utf-8"))
         for a in range(0, dataset.n, _WRITE_BLOCK_ROWS):
             b = a + _WRITE_BLOCK_ROWS
@@ -547,16 +551,14 @@ def normalize(train: Dataset) -> tuple[Dataset, FeatureStats]:
 
 
 def split_odd_even(train: Dataset) -> SplitAB:
-    """Fitting/validation split by position: 1st, 3rd, 5th ... example to
-    the fitting side, 2nd, 4th, 6th ... to the validation side.  Growth
-    needs finite features and 0/1 targets, which every Dataset has.
+    """Fitting/validation split by position, B's rows first: 2nd, 4th ...
+    example to the validation side B, 1st, 3rd ... to the fitting side A.
+    Growth needs finite features and 0/1 targets, which every Dataset has.
     """
     if train.n < 2:
         raise DataError("splitting needs at least two examples")
-    return SplitAB(
-        set_a=train.take(np.arange(0, train.n, 2)),
-        set_b=train.take(np.arange(1, train.n, 2)),
-    )
+    order = np.concatenate((np.arange(1, train.n, 2), np.arange(0, train.n, 2)))
+    return SplitAB(train.take(order), train.n // 2)
 
 
 def split_train_test(

@@ -196,27 +196,23 @@ def require_finite_features(features) -> None:
 
 @dataclass(frozen=True)
 class SplitAB:
-    """Fitting/validation partition of a training set.
-
-    ``set_a`` is fitted on, ``set_b`` is only ever measured on.
+    """Fitting/validation partition of a training set, held as one Dataset
+    in the fit's row order: ``rows[:n_b]`` is side B, only ever measured
+    on, and ``rows[n_b:]`` is side A, fitted on.
     """
 
-    set_a: Dataset
-    set_b: Dataset
+    rows: Dataset
+    n_b: int
 
     def __post_init__(self):
-        if self.set_a.m != self.set_b.m:
-            raise ValueError(
-                f"subsets disagree on feature count: {self.set_a.m} vs {self.set_b.m}"
-            )
-        if self.set_a.n < 1 or self.set_b.n < 1:
+        if not 1 <= _integer(self, "n_b") < self.rows.n:
             raise ValueError("both subsets need at least one example")
         if self.m < 1:
             raise DataError("training data has no feature columns")
 
     @property
     def m(self) -> int:
-        return self.set_a.m
+        return self.rows.m
 
 
 @dataclass(frozen=True)
@@ -428,7 +424,7 @@ class CascadeModel:
         if any(not b < a for a, b in zip(history, history[1:])):
             raise ValueError("criterion history must decrease strictly")
 
-        min_m = max(c for nr in neurons for c in nr.feature_columns()) + 1
+        min_m = max(self.used_features) + 1
         if self.normalization_stats is not None and self.normalization_stats.m < min_m:
             raise ValueError(
                 f"normalization covers {self.normalization_stats.m} columns but the "
@@ -452,6 +448,11 @@ class CascadeModel:
         return len(self.neurons)
 
     @property
+    def used_features(self) -> tuple[int, ...]:
+        """Feature columns the wiring reads, in first-use order, without repeats."""
+        return tuple(dict.fromkeys(c for nr in self.neurons for c in nr.feature_columns()))
+
+    @property
     def required_features(self) -> int:
         """How many feature columns an input row must provide, as
         :meth:`require_width` holds it: exactly, or at least that many."""
@@ -459,7 +460,7 @@ class CascadeModel:
             return self.normalization_stats.m
         if self.feature_names is not None:
             return len(self.feature_names)
-        return max(c for nr in self.neurons for c in nr.feature_columns()) + 1
+        return max(self.used_features) + 1
 
     def require_width(self, width: int) -> None:
         """Raise :class:`DataError` unless this model reads rows ``width``
@@ -471,12 +472,11 @@ class CascadeModel:
         if width < required or (self.feature_names is not None and width != required):
             raise DataError(f"model reads {required} feature columns, data has {width}")
 
-    def on_columns(self, columns) -> "CascadeModel":
-        """This model rewired so that its feature column k is ``columns[k]``,
-        statistics and names cut to those columns: on rows picked to
-        ``columns`` it gives the bits this model gives on the whole rows.
-        A column the wiring reads and ``columns`` lacks raises KeyError."""
-        columns = list(columns)
+    def on_columns(self) -> "CascadeModel":
+        """This model rewired to read column k where it read
+        ``used_features[k]``, statistics and names cut to match: on rows
+        picked to those columns it gives the bits it gives on whole rows."""
+        columns = list(self.used_features)
         slot = {column: k for k, column in enumerate(columns)}
         neurons = [NeuronSpec(nr.layer, [
             Feature(slot[src.column]) if isinstance(src, Feature) else src

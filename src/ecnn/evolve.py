@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from ._pool import fork_map
-from .cascade import error_rate, used_features
+from .cascade import error_rate
 from .data_io import split_odd_even
 from .domain import (
     CascadeModel,
@@ -33,7 +33,7 @@ from .domain import (
 from .errors import DataError
 from .fitting import (
     FitResult,
-    design_matrix,
+    _side_designs,
     fit_neuron,
     fit_neuron_from_init,
     init_weights,
@@ -121,7 +121,7 @@ def _rank(
     """
     init = init_weights(2, config.init_sigma, rng)
     fits = [
-        fit_neuron_from_init(split, (Feature(column),), None, None, init, config)
+        fit_neuron_from_init(split, (Feature(column),), None, init, config)
         for column in range(split.m)
     ]
     records = [FitnessRecord(column, fit.criterion) for column, fit in enumerate(fits)]
@@ -154,8 +154,7 @@ def evolve(
     anchor = ranked[0].feature
 
     neurons: list[NeuronSpec] = []
-    prior_a: list[np.ndarray] = []
-    prior_b: list[np.ndarray] = []
+    prior: list[np.ndarray] = []  # one row per neuron, over split.rows
     history = [anchor_fit.criterion]
     accepted: list[AcceptedRecord] = []
     rejected: list[RejectedRecord] = []
@@ -170,14 +169,12 @@ def evolve(
         candidate = ranked[h - 1].feature
         r = len(neurons) + 1
         wiring = _wiring(r, anchor, candidate)
-        fit = fit_neuron(split, wiring, prior_a, prior_b, config, rng)
+        fit = fit_neuron(split, wiring, prior, config, rng)
         if fit.criterion < history[-1]:
             neuron = NeuronSpec(layer=r, wiring=wiring, weights=fit.weights)
             neurons.append(neuron)
-            U_a = design_matrix(split.set_a.features, wiring, prior_a)
-            U_b = design_matrix(split.set_b.features, wiring, prior_b)
-            prior_a.append(sigmoid(fit.weights @ U_a))
-            prior_b.append(sigmoid(fit.weights @ U_b))
+            outputs = [fit.weights @ U for U in _side_designs(split, wiring, prior)]
+            prior.append(sigmoid(np.concatenate(outputs)))
             history.append(fit.criterion)
             accepted.append(AcceptedRecord(r, candidate, fit.criterion))
             if config.advance_on_accept:
@@ -197,7 +194,7 @@ def evolve(
         neurons=tuple(neurons),
         anchor_feature=anchor,
         criterion_history=tuple(history),
-        feature_names=split.set_a.feature_names,
+        feature_names=split.rows.feature_names,
     )
     trace = EvolveTrace(ranked, tuple(accepted), tuple(rejected), stop_reason)
     return model, trace
@@ -238,7 +235,7 @@ def _restart(
         model_size=model.size,
         train_error_pct=error_rate(model, train, threshold),
         test_error_pct=math.nan if test is None else error_rate(model, test, threshold),
-        selected_features=used_features(model),
+        selected_features=model.used_features,
     )
     return summary, model
 

@@ -53,14 +53,7 @@ def design_matrix(features, wiring, prior_outputs) -> np.ndarray:
     """
     X = np.asarray(features, dtype=float)
     n, m = X.shape
-    if prior_outputs is None or len(prior_outputs) == 0:
-        prior = np.zeros((0, n))
-    else:
-        prior = np.asarray(prior_outputs, dtype=float)
-    if prior.ndim != 2 or prior.shape[1] != n:
-        raise DataError(
-            f"prior outputs must be stacked as (layers, {n}), got shape {prior.shape}"
-        )
+    prior = _stacked(prior_outputs, n)
     rows = [np.ones(n)]
     for src in wiring:
         if isinstance(src, PrevNeuron):
@@ -80,6 +73,26 @@ def design_matrix(features, wiring, prior_outputs) -> np.ndarray:
         else:
             raise DataError(f"unknown wiring source {src!r}")
     return np.vstack(rows)
+
+
+def _stacked(prior_outputs, n: int) -> np.ndarray:
+    """Prior outputs as a (layers, n) matrix; None or empty is no layers."""
+    empty = prior_outputs is None or len(prior_outputs) == 0
+    prior = np.zeros((0, n)) if empty else np.asarray(prior_outputs, dtype=float)
+    if prior.ndim != 2 or prior.shape[1] != n:
+        raise DataError(
+            f"prior outputs must be stacked as (layers, {n}), got shape {prior.shape}"
+        )
+    return prior
+
+
+def _side_designs(split: SplitAB, wiring, prior_outputs) -> tuple[np.ndarray, np.ndarray]:
+    """(U_B, U_A), each side's design matrix from its own rows of ``split.rows``
+    and ``prior_outputs``: one product over both sides has other bits."""
+    X, n_b = split.rows.features, split.n_b
+    prior = _stacked(prior_outputs, split.rows.n)
+    return (design_matrix(X[:n_b], wiring, prior[:, :n_b]),
+            design_matrix(X[n_b:], wiring, prior[:, n_b:]))
 
 
 def _norm(r: np.ndarray) -> float:
@@ -148,12 +161,7 @@ class FitResult:
 
 
 def fit_neuron_from_init(
-    split: SplitAB,
-    wiring,
-    prior_outputs_a,
-    prior_outputs_b,
-    init: np.ndarray,
-    config: TrainConfig,
+    split: SplitAB, wiring, prior_outputs, init: np.ndarray, config: TrainConfig
 ) -> FitResult:
     """Fit a neuron starting from the given weight vector.
 
@@ -163,11 +171,12 @@ def fit_neuron_from_init(
     than ``config.delta``, first checked at step 2, or at
     ``config.max_fit_steps``.
 
-    The residuals live in one ``[B | A]`` buffer and take one sigmoid pass
-    per step; the last step's A half goes unused.
+    ``prior_outputs`` stacks each built neuron's outputs on ``split.rows``
+    (B then A) as (layers, n_b + n_a); other shapes raise DataError.  The
+    residuals live in one ``[B | A]`` buffer and take one sigmoid pass per
+    step; the last step's A half goes unused.
     """
-    U_A = design_matrix(split.set_a.features, wiring, prior_outputs_a)
-    U_B = design_matrix(split.set_b.features, wiring, prior_outputs_b)
+    U_B, U_A = _side_designs(split, wiring, prior_outputs)
     w_cur = np.asarray(init, dtype=float)
     if w_cur.shape != (U_A.shape[0],):
         raise DataError(
@@ -176,8 +185,7 @@ def fit_neuron_from_init(
         )
     last = config.max_fit_steps
     scale = _projection_scale(U_A, config.chi)
-    n_b = split.set_b.n
-    targets = np.concatenate((split.set_b.targets, split.set_a.targets))
+    n_b, targets = split.n_b, split.rows.targets
     residuals = np.empty(len(targets))
     residuals_b, residuals_a = residuals[:n_b], residuals[n_b:]
     w_prev, prev_eb = w_cur, np.inf
@@ -199,15 +207,8 @@ def fit_neuron_from_init(
 
 
 def fit_neuron(
-    split: SplitAB,
-    wiring,
-    prior_outputs_a,
-    prior_outputs_b,
-    config: TrainConfig,
-    rng: np.random.Generator,
+    split: SplitAB, wiring, prior_outputs, config: TrainConfig, rng: np.random.Generator
 ) -> FitResult:
     """Fit a neuron from a fresh Gaussian initialization drawn from rng."""
     init = init_weights(len(tuple(wiring)) + 1, config.init_sigma, rng)
-    return fit_neuron_from_init(
-        split, wiring, prior_outputs_a, prior_outputs_b, init, config
-    )
+    return fit_neuron_from_init(split, wiring, prior_outputs, init, config)

@@ -83,7 +83,7 @@ def anchor_baseline(split, anchor, config, rng):
     from the generator's first draw, as the ranking pass of a growth run
     started from the same generator fits it."""
     init = init_weights(2, config.init_sigma, rng)
-    fit = fit_neuron_from_init(split, (Feature(anchor),), None, None, init, config)
+    fit = fit_neuron_from_init(split, (Feature(anchor),), None, init, config)
     neuron = NeuronSpec(layer=1, wiring=(Feature(anchor),), weights=fit.weights)
     return CascadeModel((neuron,), anchor, (fit.criterion,))
 

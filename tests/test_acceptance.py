@@ -174,7 +174,7 @@ class TestAcceptance:
         for _ in range(200):
             anchor, candidate = gen.choice(72, size=2, replace=False)
             wiring = (Feature(int(anchor)), Feature(int(candidate)))
-            result = fit_neuron(split, wiring, None, None, config, gen)
+            result = fit_neuron(split, wiring, None, config, gen)
             steps.append(result.steps_taken)
         median_steps = statistics.median(steps)
         capped = sum(1 for s in steps if s >= config.max_fit_steps)
@@ -259,9 +259,9 @@ class TestAcceptance:
         check(
             capfd,
             "validation-split",
-            (split.set_a.n, split.set_b.n) == (1122, 1122),
-            f"2244 examples split into {split.set_a.n} fitting / "
-            f"{split.set_b.n} validation (expected 1122/1122)",
+            (split.rows.n - split.n_b, split.n_b) == (1122, 1122),
+            f"2244 examples split into {split.rows.n - split.n_b} fitting / "
+            f"{split.n_b} validation (expected 1122/1122)",
         )
 
     def test_saved_models_reload_bit_identically(self, tmp_path, capfd):

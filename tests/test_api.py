@@ -50,7 +50,6 @@ PUBLIC_API = [
     # cascade
     "forward_batch",
     "classify_batch",
-    "used_features",
     "error_rate",
     # evolve
     "STOP_FEATURES_EXHAUSTED",
@@ -171,7 +170,8 @@ def referenced_names(path):
 def where_named(name):
     """Where the sources name ``name``: ``(module, owner)`` pairs, the owner
     being the top-level function or class it appears in, else the kind of
-    top-level statement (``ImportFrom`` for a from-import)."""
+    top-level statement (``ImportFrom`` for a from-import).  Parameter and
+    keyword-argument names count."""
     places = set()
     for path in SOURCES:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -179,6 +179,7 @@ def where_named(name):
                 named = (
                     getattr(node, "id", None), getattr(node, "attr", None),
                     getattr(node, "name", None), getattr(node, "asname", None),
+                    getattr(node, "arg", None),
                 )
                 if name in named:
                     places.add((path.stem, getattr(top, "name", type(top).__name__)))
@@ -210,6 +211,14 @@ class TestOneOwner:
         assert list(inspect.signature(ecnn.forward_batch).parameters) == [
             "model", "features"
         ]
+
+    @pytest.mark.parametrize(
+        "name", ["set_a", "set_b", "prior_a", "prior_b", "prior_outputs_b"]
+    )
+    def test_a_split_has_one_representation(self, name):
+        # A split is one Dataset in [B | A] row order and the prior outputs
+        # one matrix in that order, so no per-side copy is named.
+        assert where_named(name) == set()
 
     def test_the_width_rule_is_written_only_in_domain(self):
         # Everything else asks the model's require_width.

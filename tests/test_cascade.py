@@ -22,7 +22,6 @@ from ecnn import (
     classify_batch,
     error_rate,
     forward_batch,
-    used_features,
 )
 
 from conftest import build_cascade, random_cascade, traced_peak
@@ -149,8 +148,7 @@ class TestForward:
         named = model.normalization_stats or model.feature_names
         extra = 0 if named else int(gen.integers(0, 3))
         X = gen.normal(0.0, 2.0, (n, model.required_features + extra))
-        cols = used_features(model)
-        got = forward_batch(model.on_columns(cols), X[:, cols])
+        got = forward_batch(model.on_columns(), X[:, model.used_features])
         want = forward_batch(model, X)
         for a, b in zip(got, want):
             assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
@@ -235,23 +233,23 @@ class TestUsedFeatures:
             anchor=36,
             criterion_history=(4.0, 3.0, 2.0, 1.0),
         )
-        assert used_features(model) == (36, 23, 10, 60)
+        assert model.used_features == (36, 23, 10, 60)
 
     def test_single_neuron_pair(self):
         model = build_cascade([np.zeros(3)], [1], anchor=0)
-        assert used_features(model) == (0, 1)
+        assert model.used_features == (0, 1)
 
     def test_repeated_feature_appears_once(self):
         model = build_cascade(
             [np.zeros(3), np.zeros(4)], [5, 5], anchor=2,
             criterion_history=(3.0, 2.0, 1.0),
         )
-        assert used_features(model) == (2, 5)
+        assert model.used_features == (2, 5)
 
     def test_degenerate_model_uses_only_its_anchor(self):
         neuron = NeuronSpec(1, (Feature(3),), [0.0, 1.0])
         model = CascadeModel((neuron,), 3, (1.0,))
-        assert used_features(model) == (3,)
+        assert model.used_features == (3,)
 
 
 class TestErrorRate:

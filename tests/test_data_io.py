@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -349,6 +350,25 @@ class TestWriteCsv:
         write_csv(path, data, label_name=name + "y")
         assert load_csv(path, label_column=name + "y").feature_names == (name, "plain")
 
+    @pytest.mark.parametrize("names, label, bad", [
+        ((" a", "b"), "y", " a"),
+        (("a", "b "), "y", "b "),
+        (("a", "b\r\n"), "y", "b\r\n"),
+        (("a", "b"), "y ", "y "),
+        (("a ", " b"), "y", "a "),
+    ], ids=["leading-space", "trailing-space", "trailing-crlf", "label", "first-named"])
+    def test_names_load_csv_would_strip_are_refused(self, tmp_path, names, label, bad):
+        data = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]), names)
+        message = f"^column name {re.escape(repr(bad))} has whitespace that load_csv strips$"
+        with pytest.raises(ValueError, match=message):
+            write_csv(tmp_path / "out.csv", data, label_name=label)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_hand_written_padded_names_still_load(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("a, b, y\n1,2,0\n", encoding="utf-8")
+        assert load_csv(path, label_column="y").feature_names == ("a", "b")
+
     def test_default_names_are_generated(self, tmp_path):
         data = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]))
         path = tmp_path / "out.csv"
@@ -413,18 +433,17 @@ class TestSplitOddEven:
         data = Dataset(np.arange(2244 * 2, dtype=float).reshape(2244, 2),
                        np.zeros(2244))
         split = split_odd_even(data)
-        assert split.set_a.n == 1122
-        assert split.set_b.n == 1122
+        assert (split.rows.n, split.n_b) == (2244, 1122)
 
     def test_odd_count_gives_first_set_the_extra(self):
         data = Dataset(np.arange(10, dtype=float).reshape(5, 2), np.zeros(5))
         split = split_odd_even(data)
-        assert (split.set_a.n, split.set_b.n) == (3, 2)
+        assert (split.rows.n, split.n_b) == (5, 2)
 
     def test_two_examples_split_one_each(self):
         data = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0]))
         split = split_odd_even(data)
-        assert (split.set_a.n, split.set_b.n) == (1, 1)
+        assert (split.rows.n, split.n_b) == (2, 1)
 
     def test_single_example_raises(self):
         data = Dataset(np.array([[1.0, 2.0]]), np.array([0.0]))
@@ -442,12 +461,13 @@ class TestSplitOddEven:
         data = Dataset(np.arange(n * 2, dtype=float).reshape(n, 2),
                        np.arange(n, dtype=float) % 2)
         split = split_odd_even(data)
-        np.testing.assert_array_equal(split.set_a.features[:, 0], [0, 4, 8, 12, 16])
-        np.testing.assert_array_equal(split.set_b.features[:, 0], [2, 6, 10, 14])
-        np.testing.assert_array_equal(split.set_a.features, data.features[::2])
-        np.testing.assert_array_equal(split.set_b.features, data.features[1::2])
-        np.testing.assert_array_equal(split.set_a.targets, data.targets[::2])
-        np.testing.assert_array_equal(split.set_b.targets, data.targets[1::2])
+        assert split.n_b == 4
+        np.testing.assert_array_equal(split.rows.features[:, 0],
+                                      [2, 6, 10, 14, 0, 4, 8, 12, 16])
+        np.testing.assert_array_equal(split.rows.features[:4], data.features[1::2])
+        np.testing.assert_array_equal(split.rows.features[4:], data.features[::2])
+        np.testing.assert_array_equal(split.rows.targets[:4], data.targets[1::2])
+        np.testing.assert_array_equal(split.rows.targets[4:], data.targets[::2])
 
 
 class TestSplitTrainTest:

@@ -238,34 +238,28 @@ class TestRequireFiniteFeatures:
         assert "30000 violations" in message and "and 29990 more" in message
 
 
-def _pair(n_a=2, n_b=2, m=2):
-    a = Dataset(np.arange(n_a * m, dtype=float).reshape(n_a, m), np.zeros(n_a))
-    b = Dataset(np.arange(n_b * m, dtype=float).reshape(n_b, m), np.ones(n_b))
-    return a, b
+def _rows(n=4, m=2):
+    return Dataset(np.arange(n * m, dtype=float).reshape(n, m), np.arange(n) % 2)
 
 
 class TestSplitAB:
     def test_valid_split(self):
-        a, b = _pair()
-        split = SplitAB(a, b)
-        assert split.set_a.n == 2 and split.set_b.n == 2 and split.m == 2
+        split = SplitAB(_rows(), 2)
+        assert split.rows.n == 4 and split.n_b == 2 and split.m == 2
 
-    def test_feature_count_must_agree(self):
-        a, _ = _pair(m=2)
-        _, b = _pair(m=3)
-        with pytest.raises(ValueError, match="feature count"):
-            SplitAB(a, b)
-
-    def test_each_side_needs_an_example(self):
-        a, _ = _pair()
-        empty = Dataset(np.empty((0, 2)), np.empty(0))
+    @pytest.mark.parametrize("n_b", [0, 4, -1])
+    def test_each_side_needs_an_example(self, n_b):
         with pytest.raises(ValueError, match="at least one example"):
-            SplitAB(a, empty)
+            SplitAB(_rows(), n_b)
+
+    @pytest.mark.parametrize("n_b", [2.0, True, "2"])
+    def test_the_split_point_is_an_integer(self, n_b):
+        with pytest.raises(ValueError, match="n_b must be an integer"):
+            SplitAB(_rows(), n_b)
 
     def test_needs_a_feature_column(self):
-        a, b = _pair(m=0)
         with pytest.raises(DataError, match="no feature columns"):
-            SplitAB(a, b)
+            SplitAB(_rows(m=0), 2)
 
     # split_odd_even is the one builder of a split, so the source-row
     # invariants are checked on what it builds.  Column 0 holds the row.
@@ -273,7 +267,8 @@ class TestSplitAB:
     def _rows_split(n, targets):
         rows = np.arange(n, dtype=float)
         split = split_odd_even(Dataset(np.column_stack([rows, -rows]), targets))
-        return split, split.set_a.features[:, 0], split.set_b.features[:, 0]
+        side_b, side_a = np.split(split.rows.features[:, 0], [split.n_b])
+        return split, side_a, side_b
 
     @given(n=st.integers(2, 60))
     def test_indices_must_not_intersect(self, n):
@@ -285,9 +280,10 @@ class TestSplitAB:
     def test_source_index_sizes_must_match(self, n, seed):
         targets = (np.random.default_rng(seed).random(n) < 0.5).astype(float)
         split, rows_a, rows_b = self._rows_split(n, targets)
-        assert (split.set_a.n, split.set_b.n) == ((n + 1) // 2, n // 2)
-        np.testing.assert_array_equal(split.set_a.targets, targets[rows_a.astype(int)])
-        np.testing.assert_array_equal(split.set_b.targets, targets[rows_b.astype(int)])
+        assert (split.rows.n - split.n_b, split.n_b) == ((n + 1) // 2, n // 2)
+        targets_b, targets_a = np.split(split.rows.targets, [split.n_b])
+        np.testing.assert_array_equal(targets_a, targets[rows_a.astype(int)])
+        np.testing.assert_array_equal(targets_b, targets[rows_b.astype(int)])
 
 
 class TestNeuronSpec:
@@ -393,14 +389,15 @@ class TestCascadeModel:
 
     def test_on_columns_rewires_and_cuts_the_metadata(self):
         stats = FeatureStats(np.arange(4.0), np.ones(4))
-        model = _two_layer_model(normalization_stats=stats, feature_names=tuple("abcd"))
-        picked = model.on_columns([2, 0, 1])
-        assert picked.anchor_feature == 1
-        assert [nr.feature_columns() for nr in picked.neurons] == [(1, 2), (1, 0)]
+        n1 = NeuronSpec(1, (Feature(2), Feature(0)), [0.0, 1.0, -1.0])
+        n2 = NeuronSpec(2, (PrevNeuron(1), Feature(2), Feature(1)), np.zeros(4))
+        model = CascadeModel((n1, n2), 2, (3.0, 2.0, 1.0), stats, tuple("abcd"))
+        picked = model.on_columns()
+        assert picked.anchor_feature == 0
+        assert [nr.feature_columns() for nr in picked.neurons] == [(0, 1), (0, 2)]
         assert picked.normalization_stats.mean.tolist() == [2.0, 0.0, 1.0]
         assert picked.feature_names == ("c", "a", "b")
-        with pytest.raises(KeyError, match="2"):
-            model.on_columns([0, 1])
+        assert picked.used_features == (0, 1, 2)
 
     def test_normalization_must_cover_wired_columns(self):
         stats = FeatureStats(np.zeros(2), np.ones(2))

@@ -15,26 +15,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecnn import (
+    AcceptedRecord,
+    CascadeModel,
     DataError,
     Dataset,
     EcnnError,
+    EvolveTrace,
     Feature,
+    FitnessRecord,
     NeuronSpec,
     PrevNeuron,
+    RejectedRecord,
     RunSummary,
     STOP_FEATURES_EXHAUSTED,
     STOP_MAX_LAYERS,
+    SplitAB,
     TrainConfig,
     child_seed,
+    design_matrix,
+    dump_canonical_json,
     error_rate,
+    fit_neuron_from_init,
     forward_batch,
+    init_weights,
+    model_to_payload,
     multi_run,
     rng_for_run,
     save_model,
     select_best,
+    sigmoid,
     split_odd_even,
     synth_dataset,
-    used_features,
 )
 import ecnn.evolve
 from ecnn.evolve import _wiring, evolve
@@ -190,12 +201,98 @@ class TestGrowthInvariants:
         assert (model.neurons[0].p == 1) == (not trace.accepted)
 
 
+def two_sided_evolve(data, config, rng):
+    """Growth as a plain loop over the split held twice: the odd and even
+    rows as two Datasets, and each accepted neuron's outputs as one row
+    per side.  Each fit gets the two sides stacked B first, the layout
+    the fit kernel takes; test_fitting checks that kernel against a loop
+    over each side's own design matrix."""
+    half_a = data.take(np.arange(0, data.n, 2))
+    half_b = data.take(np.arange(1, data.n, 2))
+
+    def fit(wiring, rows_a, rows_b, init):
+        stacked = Dataset(np.vstack((half_b.features, half_a.features)),
+                          np.concatenate((half_b.targets, half_a.targets)))
+        prior = np.hstack((rows_b, rows_a)) if rows_a else None
+        return fit_neuron_from_init(SplitAB(stacked, half_b.n), wiring, prior,
+                                    init, config)
+
+    init = init_weights(2, config.init_sigma, rng)
+    fits = [fit((Feature(c),), [], [], init) for c in range(data.m)]
+    ranked = tuple(sorted(
+        (FitnessRecord(c, f.criterion) for c, f in enumerate(fits)),
+        key=lambda record: (record.score, record.feature),
+    ))
+    anchor = ranked[0].feature
+    neurons, rows_a, rows_b = [], [], []
+    history, accepted, rejected = [fits[anchor].criterion], [], []
+    h = 2
+    while len(neurons) < config.max_layers and h <= data.m:
+        candidate = ranked[h - 1].feature
+        r = len(neurons) + 1
+        wiring = _wiring(r, anchor, candidate)
+        init = init_weights(len(wiring) + 1, config.init_sigma, rng)
+        result = fit(wiring, rows_a, rows_b, init)
+        if result.criterion < history[-1]:
+            neurons.append(NeuronSpec(r, wiring, result.weights))
+            U_a = design_matrix(half_a.features, wiring, rows_a)
+            U_b = design_matrix(half_b.features, wiring, rows_b)
+            rows_a.append(sigmoid(result.weights @ U_a))
+            rows_b.append(sigmoid(result.weights @ U_b))
+            history.append(result.criterion)
+            accepted.append(AcceptedRecord(r, candidate, result.criterion))
+            if config.advance_on_accept:
+                h += 1
+        else:
+            rejected.append(RejectedRecord(h, candidate, result.criterion, history[-1]))
+            h += 1
+    full = len(neurons) >= config.max_layers
+    stop_reason = STOP_MAX_LAYERS if full else STOP_FEATURES_EXHAUSTED
+    if not neurons:
+        neurons.append(NeuronSpec(1, (Feature(anchor),), fits[anchor].weights))
+    model = CascadeModel(tuple(neurons), anchor, tuple(history),
+                         feature_names=data.feature_names)
+    return model, EvolveTrace(ranked, tuple(accepted), tuple(rejected), stop_reason)
+
+
+class TestOneRowOrder:
+    """evolve on the one [B | A] Dataset grows, bit for bit, what growth
+    on two half Datasets with per-side prior outputs grows."""
+
+    @pytest.mark.parametrize("advance_on_accept", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_growth_on_two_halves(self, advance_on_accept, data):
+        m = data.draw(st.integers(2, 6))
+        relevant = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
+                                      unique=True))
+        dataset, _ = synth_dataset(n=data.draw(st.integers(2, 200)), m=m,
+                                   relevant=relevant,
+                                   noise_sigma=data.draw(st.floats(0.0, 1.0)),
+                                   seed=data.draw(st.integers(0, 2**32 - 1)))
+        config = TrainConfig(
+            delta=data.draw(st.floats(1e-5, 0.05)),
+            max_fit_steps=data.draw(st.integers(1, 60)),
+            max_layers=data.draw(st.integers(1, 4)),
+            advance_on_accept=advance_on_accept,
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        model, trace = evolve(split_odd_even(dataset), config,
+                              np.random.default_rng(seed))
+        want_model, want_trace = two_sided_evolve(dataset, config,
+                                                  np.random.default_rng(seed))
+        assert dump_canonical_json(model_to_payload(model, config)) == (
+            dump_canonical_json(model_to_payload(want_model, config))
+        )
+        assert trace == want_trace
+
+
 class TestEvolve:
     def test_recovers_the_and_structure(self):
         data = and_dataset()
         split = split_odd_even(data)
         model, trace = evolve(split, TrainConfig(seed=0), rng_for_run(0, 0))
-        used = used_features(model)
+        used = model.used_features
         assert set(used) >= {0, 1}
         assert error_rate(model, data) == 0.0
         history = model.criterion_history
@@ -256,7 +353,7 @@ class TestEvolve:
 
         # feature-selection property: nothing enters without passing the test
         allowed = {model.anchor_feature} | {r.feature for r in trace.accepted}
-        assert set(used_features(model)) <= allowed
+        assert set(model.used_features) <= allowed
 
         # size bounds
         assert 1 <= model.size <= config.max_layers
@@ -364,7 +461,7 @@ class TestMultiRun:
         best, summaries = multi_run(small_dataset, None, config, runs=5)
         chosen = select_best(summaries)
         assert best.size == chosen.model_size
-        assert used_features(best) == chosen.selected_features
+        assert best.used_features == chosen.selected_features
 
     def test_returns_the_model_the_select_best_run_grew(self, small_dataset, monkeypatch):
         grown = []
@@ -490,7 +587,7 @@ class TestMultiRun:
             assert 0.0 <= s.train_error_pct <= 100.0
         chosen = select_best(summaries)
         assert best.size == chosen.model_size
-        assert used_features(best) == chosen.selected_features
+        assert best.used_features == chosen.selected_features
 
     def test_no_test_set_records_nan(self, small_dataset):
         _, summaries = multi_run(small_dataset, None, TrainConfig(seed=1), runs=2)
@@ -539,7 +636,7 @@ class TestMultiRun:
         wide, _ = synth_dataset(60, 2, (0,), 0.3, 1)
         data = Dataset(wide.features[:, :1], wide.targets)
         model, summaries = multi_run(data, data, TrainConfig(seed=2), runs=1)
-        assert used_features(model) == (0,)
+        assert model.used_features == (0,)
         assert summaries[0].train_error_pct == summaries[0].test_error_pct
 
     def test_feature_count_mismatch_raises(self, small_dataset):

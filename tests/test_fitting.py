@@ -51,7 +51,16 @@ def kernel_step(weights, inputs_a, residuals_a, chi):
 
 
 def make_split(features_a, targets_a, features_b, targets_b):
-    return SplitAB(Dataset(features_a, targets_a), Dataset(features_b, targets_b))
+    """The split of side A and side B, held as one Dataset, B's rows first."""
+    rows = Dataset(np.vstack((features_b, features_a)),
+                   np.concatenate((targets_b, targets_a)))
+    return SplitAB(rows, len(targets_b))
+
+
+def stack_prior(prior_a, prior_b):
+    """Per-side prior output rows as the fit takes them: one (layers,
+    n_b + n_a) matrix, B's columns first; None without layers."""
+    return np.hstack((prior_b, prior_a)) if prior_a else None
 
 
 class TestSigmoid:
@@ -227,9 +236,9 @@ class TestFitNeuron:
 
     def test_same_seed_is_bit_reproducible(self, small_split):
         config = TrainConfig()
-        a = fit_neuron(small_split, self.WIRING, None, None, config,
+        a = fit_neuron(small_split, self.WIRING, None, config,
                        np.random.default_rng(5))
-        b = fit_neuron(small_split, self.WIRING, None, None, config,
+        b = fit_neuron(small_split, self.WIRING, None, config,
                        np.random.default_rng(5))
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.eb_trace, b.eb_trace)
@@ -237,21 +246,21 @@ class TestFitNeuron:
 
     def test_huge_delta_stops_at_step_two(self, small_split):
         config = TrainConfig(delta=10.0)
-        result = fit_neuron(small_split, self.WIRING, None, None, config,
+        result = fit_neuron(small_split, self.WIRING, None, config,
                             np.random.default_rng(3))
         assert result.steps_taken == 2
         assert len(result.eb_trace) == 2
 
     def test_trace_invariants_hold(self, small_split):
         config = TrainConfig()
-        result = fit_neuron(small_split, self.WIRING, None, None, config,
+        result = fit_neuron(small_split, self.WIRING, None, config,
                             np.random.default_rng(11))
         assert len(result.eb_trace) == result.steps_taken <= config.max_fit_steps
         assert result.criterion == result.eb_trace[-1]
 
     def test_final_gap_is_below_delta_when_not_capped(self, small_split):
         config = TrainConfig()
-        result = fit_neuron(small_split, self.WIRING, None, None, config,
+        result = fit_neuron(small_split, self.WIRING, None, config,
                             np.random.default_rng(13))
         assert result.steps_taken < config.max_fit_steps
         gap = result.eb_trace[-2] - result.eb_trace[-1]
@@ -259,7 +268,7 @@ class TestFitNeuron:
 
     def test_step_cap_is_never_exceeded(self, small_split):
         config = TrainConfig(max_fit_steps=5, delta=1e-12)
-        result = fit_neuron(small_split, self.WIRING, None, None, config,
+        result = fit_neuron(small_split, self.WIRING, None, config,
                             np.random.default_rng(17))
         assert result.steps_taken == 5
 
@@ -267,7 +276,7 @@ class TestFitNeuron:
         # feature 0 separates the classes: the fit should end on the
         # stopping rule, not the step cap, and beat its starting error
         config = TrainConfig()
-        result = fit_neuron(small_split, (Feature(0),), None, None, config,
+        result = fit_neuron(small_split, (Feature(0),), None, config,
                             np.random.default_rng(19))
         assert result.steps_taken < config.max_fit_steps
         assert result.criterion < result.eb_trace[0]
@@ -281,7 +290,7 @@ class TestFitNeuron:
         split = make_split(features, np.zeros(4), features, np.ones(4))
         config = TrainConfig()
         init = np.zeros(3)
-        result = fit_neuron_from_init(split, self.WIRING, None, None, init, config)
+        result = fit_neuron_from_init(split, self.WIRING, None, init, config)
         assert result.steps_taken == 2
         assert result.eb_trace[1] > result.eb_trace[0]
         np.testing.assert_array_equal(result.weights, init)
@@ -292,7 +301,7 @@ class TestFitNeuron:
         features = gen.standard_normal((40, 2))
         split = make_split(features[:20], np.zeros(20), features[20:], np.zeros(20))
         config = TrainConfig()
-        result = fit_neuron(split, self.WIRING, None, None, config,
+        result = fit_neuron(split, self.WIRING, None, config,
                             np.random.default_rng(29))
         assert result.eb_trace[-1] < result.eb_trace[0]
 
@@ -301,7 +310,7 @@ class TestFitNeuron:
         features = np.array([[1.0, 2.0], [3.0, 4.0]])
         split = make_split(features, np.zeros(2), features, np.zeros(2))
         config = TrainConfig(max_fit_steps=1)
-        result = fit_neuron_from_init(split, self.WIRING, None, None, np.zeros(3),
+        result = fit_neuron_from_init(split, self.WIRING, None, np.zeros(3),
                                       config)
         assert result.eb_trace.tolist() == [math.sqrt(0.5)]
 
@@ -310,18 +319,27 @@ class TestFitNeuron:
         features = np.array([[1.0, 0.0]])
         split = make_split(features, np.ones(1), features, np.ones(1))
         config = TrainConfig(max_fit_steps=1)
-        result = fit_neuron_from_init(split, (Feature(0),), None, None,
+        result = fit_neuron_from_init(split, (Feature(0),), None,
                                       np.array([0.0, math.log(3.0)]), config)
         assert result.criterion == pytest.approx(0.25, abs=1e-15)
 
     def test_init_length_must_match_wiring(self, small_split):
         with pytest.raises(DataError, match="initial"):
             fit_neuron_from_init(
-                small_split, self.WIRING, None, None, np.zeros(5), TrainConfig()
+                small_split, self.WIRING, None, np.zeros(5), TrainConfig()
             )
 
+    def test_prior_rows_over_side_a_alone_raise(self, small_split):
+        # One output per row of the whole split, B then A, is the layout.
+        n = small_split.rows.n
+        side_a_only = [np.full(n - small_split.n_b, 0.5)]
+        wiring = (PrevNeuron(1),) + self.WIRING
+        with pytest.raises(DataError, match=rf"\(layers, {n}\), got shape \(1, "):
+            fit_neuron_from_init(small_split, wiring, side_a_only, np.zeros(4),
+                                 TrainConfig())
 
-def reference_fit(split, wiring, prior_a, prior_b, init, config):
+
+def reference_fit(split, wiring, prior, init, config):
     """The projection loop written plainly from the oracle formulas above.
 
     Returns (weights, criterion, steps, trace, cause) where cause is how
@@ -329,19 +347,26 @@ def reference_fit(split, wiring, prior_a, prior_b, init, config):
     error went up), "cap" (ran all steps, more than one) or "single"
     (max_fit_steps == 1).
     """
-    U_A = design_matrix(split.set_a.features, wiring, prior_a)
-    U_B = design_matrix(split.set_b.features, wiring, prior_b)
+    side_b, side_a = slice(None, split.n_b), slice(split.n_b, None)
+
+    def design(side):
+        # Each side's design matrix is built from that side's rows alone.
+        rows = None if prior is None else np.asarray(prior)[:, side]
+        return design_matrix(split.rows.features[side], wiring, rows)
+
+    U_A, U_B = design(side_a), design(side_b)
+    targets_a, targets_b = split.rows.targets[side_a], split.rows.targets[side_b]
     w_cur = np.asarray(init, dtype=float)
     w_prev, prev_eb, trace = w_cur, math.inf, []
     for k in range(1, config.max_fit_steps + 1):
-        eb = validation_error(sigmoid(w_cur @ U_B) - split.set_b.targets)
+        eb = validation_error(sigmoid(w_cur @ U_B) - targets_b)
         trace.append(eb)
         if k >= 2 and prev_eb - eb < config.delta:
             if eb > prev_eb:
                 return w_prev, eb, k, trace, "rise"
             return w_cur, eb, k, trace, "gain"
         if k < config.max_fit_steps:
-            residuals_a = sigmoid(w_cur @ U_A) - split.set_a.targets
+            residuals_a = sigmoid(w_cur @ U_A) - targets_a
             w_prev, prev_eb = w_cur, eb
             w_cur = projection_update(w_cur, U_A, residuals_a, config.chi)
     cause = "single" if config.max_fit_steps == 1 else "cap"
@@ -380,7 +405,7 @@ def fit_problems(draw, case):
     config = TrainConfig(chi=draw(st.floats(0.1, 1.9)), delta=delta,
                          max_fit_steps=steps)
     split = make_split(features_a, targets_a, features_b, targets_b)
-    return split, wiring, prior_a or None, prior_b or None, init, config
+    return split, wiring, stack_prior(prior_a, prior_b), init, config
 
 
 class TestKernelEquivalence:
@@ -391,12 +416,12 @@ class TestKernelEquivalence:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_loop_bit_for_bit(self, case, data):
-        split, wiring, prior_a, prior_b, init, config = data.draw(fit_problems(case))
+        split, wiring, prior, init, config = data.draw(fit_problems(case))
         weights, criterion, steps, trace, cause = reference_fit(
-            split, wiring, prior_a, prior_b, init, config
+            split, wiring, prior, init, config
         )
         assume(cause == case)
-        result = fit_neuron_from_init(split, wiring, prior_a, prior_b, init, config)
+        result = fit_neuron_from_init(split, wiring, prior, init, config)
         assert result.weights.tobytes() == np.asarray(weights, dtype=float).tobytes()
         assert result.eb_trace.tobytes() == np.asarray(trace).tobytes()
         assert result.criterion == criterion
@@ -408,13 +433,13 @@ class TestKernelEquivalence:
     def test_matches_reference_loop_at_bench_sizes(self, n_a, n_b, inputs):
         # Long vectors take other BLAS paths than the drawn problems, and the
         # A residuals start n_b doubles into the kernel's buffer.
-        split, wiring, prior_a, prior_b, init = layered_problem(n_a, n_b, inputs, 7)
+        split, wiring, prior, init = layered_problem(n_a, n_b, inputs, 7)
         config = TrainConfig(chi=0.5, delta=1e-300, max_fit_steps=100)
         weights, _, steps, trace, cause = reference_fit(
-            split, wiring, prior_a, prior_b, init, config
+            split, wiring, prior, init, config
         )
         assert (cause, steps) == ("cap", 100)
-        result = fit_neuron_from_init(split, wiring, prior_a, prior_b, init, config)
+        result = fit_neuron_from_init(split, wiring, prior, init, config)
         assert result.weights.tobytes() == weights.tobytes()
         assert result.eb_trace.tobytes() == np.asarray(trace).tobytes()
 
@@ -422,7 +447,7 @@ class TestKernelEquivalence:
 def layered_problem(n_a, n_b, inputs, seed):
     """A split of two noisy linearly labelled halves and a layer-r wiring
     of ``inputs`` = r + 1 sources, r - 1 of them prior outputs, as growth
-    fits them: (split, wiring, prior_a, prior_b, init)."""
+    fits them: (split, wiring, prior, init)."""
     gen = np.random.default_rng(seed)
     layers = inputs - 2
     wiring = tuple(PrevNeuron(r) for r in range(layers, 0, -1)) + (
@@ -432,11 +457,11 @@ def layered_problem(n_a, n_b, inputs, seed):
     def half(n):
         X = gen.normal(0.0, 1.0, (n, 4))
         y = (X[:, 0] - X[:, 3] + gen.normal(0.0, 1.0, n) > 0).astype(float)
-        return Dataset(X, y), [gen.uniform(0.0, 1.0, n) for _ in range(layers)] or None
+        return X, y, [gen.uniform(0.0, 1.0, n) for _ in range(layers)]
 
-    (set_a, prior_a), (set_b, prior_b) = half(n_a), half(n_b)
+    (X_a, y_a, prior_a), (X_b, y_b, prior_b) = half(n_a), half(n_b)
     init = gen.normal(0.0, 1.0, inputs + 1)
-    return SplitAB(set_a, set_b), wiring, prior_a, prior_b, init
+    return make_split(X_a, y_a, X_b, y_b), wiring, stack_prior(prior_a, prior_b), init
 
 
 class TestOneSigmoidPassPerStep:
