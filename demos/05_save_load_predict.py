@@ -3,7 +3,8 @@
 Models are stored as canonical JSON: sorted keys, shortest round-trip
 float text, a declared format version, and the feature normalization
 baked in, so a saved file is stable byte-for-byte and a reloaded model
-reproduces every output exactly.
+reproduces every output exactly.  The reload also carries the wiring:
+each neuron reads earlier neurons' outputs and named feature columns.
 """
 
 import tempfile
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ecnn import (
+    PrevNeuron,
     TrainConfig,
     classify_batch,
     forward_batch,
@@ -41,6 +43,15 @@ def main():
         print(f"saved {model.size}-neuron model in {size} bytes")
         print(f"save -> load -> save is byte-identical: "
               f"{path.read_bytes() == again.read_bytes()}")
+
+        print("reloaded wiring:")
+        for neuron in loaded.neurons:
+            inputs = ", ".join(
+                f"neuron {src.layer}" if isinstance(src, PrevNeuron)
+                else loaded.feature_names[src.column]
+                for src in neuron.wiring
+            )
+            print(f"  layer {neuron.layer} reads {inputs}")
 
         fresh = np.random.default_rng(0).standard_normal((200, data.m))
         _, before = forward_batch(model, fresh)

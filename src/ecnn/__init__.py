@@ -8,9 +8,11 @@ the same time.  A restart harness repeats growth from many random
 initializations and keeps the model with the lowest training error.
 
 The command-line interface lives in :mod:`ecnn.cli` (installed as the
-``ecnn`` script); the package holds the library surface.  Each module's
-``__all__`` is its part of that surface, and the package re-exports
-those lists in the order below.  Growing one cascade is
+``ecnn`` script); the package holds the library surface, the names the
+command line, the demos, the README and the benchmark use.  Each
+module's ``__all__`` is its part of that surface, and the package
+re-exports those lists in the order below; every other name is
+importable from its module only.  Growing one cascade is
 ``ecnn.evolve.evolve``: the package attribute ``ecnn.evolve`` is the
 module, so the function is not re-exported.
 """

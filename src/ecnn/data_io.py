@@ -25,7 +25,6 @@ from .domain import Dataset, FeatureStats, SplitAB, require_finite_features
 from .errors import DataError
 
 __all__ = [
-    "SynthTruth",
     "load_csv",
     "load_matrix_csv",
     "write_csv",
@@ -63,6 +62,8 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
 
 def _label_index(header: list[str], label_column, path) -> int:
     if isinstance(label_column, str) and label_column in header:
+        if header.count(label_column) > 1:
+            raise DataError(f"{path}: label {label_column!r} names two columns in {header}")
         return header.index(label_column)
     try:
         label_idx = int(label_column)
@@ -490,9 +491,12 @@ def write_csv(path, dataset: Dataset, label_name: str = "y") -> None:
 
     Floats are written in shortest round-trip form, labels as bare 0/1,
     so reading the file back reproduces the dataset bit for bit.  A name
-    that :func:`load_csv` would strip raises ``ValueError`` before any write.
+    that :func:`load_csv` would strip, or a feature named ``label_name``,
+    raises ``ValueError`` before any write.
     """
     names = dataset.feature_names or tuple(f"x{j}" for j in range(dataset.m))
+    if label_name in names:
+        raise ValueError(f"feature name {label_name!r} is also the label's name")
     names += (label_name,)
     if padded := [name for name in names if name != name.strip()]:
         raise ValueError(f"column name {padded[0]!r} has whitespace that load_csv strips")

@@ -1,12 +1,12 @@
 """Value types for cascade network training.
 
-Everything here is an immutable value object: its arrays are float64
-and read-only, so instances can be shared freely between threads or
-worker processes without synchronization.  A constructor takes a
-float64 array of the right dimension as is when it is already read-only
-and owns its memory, as an array a producer made and froze does; it
-copies and freezes anything else, so a caller's writeable array or a
-view of one is never shared.
+Everything here is an immutable value object: its arrays are float64,
+C-ordered and read-only, so instances can be shared between threads or
+worker processes.  A constructor takes such an array of the right
+dimension as is when it owns its memory, as an array a producer made and
+froze does; it copies and freezes anything else, so a caller's writeable
+array or a view of one is never shared, and the same values give the
+same bits in either memory order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
@@ -24,34 +23,31 @@ from .errors import DataError
 
 __all__ = [
     "Dataset",
-    "SplitAB",
     "PrevNeuron",
     "Feature",
-    "InputSource",
     "NeuronSpec",
-    "FeatureStats",
     "CascadeModel",
     "TrainConfig",
-    "FitnessRecord",
     "require_valid_dataset",
-    "require_finite_features",
 ]
 
 MAX_SEED = 2**64 - 1
 
 
 def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
-    """``values`` as a read-only float64 array of ``ndim`` dimensions: the
-    array itself if it already is one and owns its memory, else a copy."""
+    """``values`` as a read-only C-ordered float64 array of ``ndim``
+    dimensions: the array itself if it already is one and owns its memory,
+    else a copy."""
     if (
         type(values) is np.ndarray
         and values.dtype == np.float64
         and values.ndim == ndim
         and values.flags.owndata
+        and values.flags.c_contiguous
         and not values.flags.writeable
     ):
         return values
-    arr = np.array(values, dtype=float, copy=True)
+    arr = np.array(values, dtype=float, copy=True, order="C")
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.flags.writeable = False
@@ -98,13 +94,14 @@ class Dataset:
     at most the first ``MAX_LISTED_VIOLATIONS`` and then the total, so it
     stays small on huge bad inputs.
 
-    ``features`` and ``targets`` are stored read-only.  An array that is
-    float64, of the right dimension, read-only and owns its memory is
-    kept as is, without a copy: :func:`~ecnn.data_io.load_csv`,
-    :meth:`take` and :func:`~ecnn.data_io.normalize` freeze the arrays
-    they just made, so a dataset is held once.  Anything else is copied,
-    so mutating a writeable array after passing it in, or the array a
-    view was cut from, changes nothing here.
+    ``features`` and ``targets`` are stored read-only and C-ordered.  An
+    array that is float64, of the right dimension, C-ordered, read-only
+    and owns its memory is kept as is, without a copy:
+    :func:`~ecnn.data_io.load_csv`, :meth:`take` and
+    :func:`~ecnn.data_io.normalize` freeze the arrays they just made, so a
+    dataset is held once.  Anything else is copied, so mutating a
+    writeable array after passing it in, or the array a view was cut
+    from, changes nothing here.
     """
 
     features: np.ndarray  # (n, m)
@@ -237,9 +234,6 @@ class Feature:
             raise ValueError("feature column must be >= 0")
 
 
-InputSource = Union[PrevNeuron, Feature]
-
-
 @dataclass(frozen=True)
 class NeuronSpec:
     """One cascade neuron: layer index, ordered input wiring, weights.
@@ -252,7 +246,7 @@ class NeuronSpec:
     """
 
     layer: int
-    wiring: tuple[InputSource, ...]
+    wiring: tuple[PrevNeuron | Feature, ...]
     weights: np.ndarray
 
     def __post_init__(self):

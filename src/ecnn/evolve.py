@@ -41,18 +41,7 @@ from .fitting import (
 )
 
 # Not "evolve": the package's star import would rebind ecnn.evolve to it.
-__all__ = [
-    "STOP_FEATURES_EXHAUSTED",
-    "STOP_MAX_LAYERS",
-    "AcceptedRecord",
-    "RejectedRecord",
-    "EvolveTrace",
-    "RunSummary",
-    "child_seed",
-    "rng_for_run",
-    "select_best",
-    "multi_run",
-]
+__all__ = ["rng_for_run", "select_best", "multi_run"]
 
 STOP_FEATURES_EXHAUSTED = "feature-list-exhausted"
 STOP_MAX_LAYERS = "max-layers-reached"

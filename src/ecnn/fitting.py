@@ -18,15 +18,7 @@ from scipy.special import expit
 from .domain import Feature, PrevNeuron, SplitAB, TrainConfig, _frozen_array
 from .errors import DataError
 
-__all__ = [
-    "SIGMOID_CLAMP",
-    "FitResult",
-    "sigmoid",
-    "design_matrix",
-    "init_weights",
-    "fit_neuron",
-    "fit_neuron_from_init",
-]
+__all__ = ["fit_neuron"]
 
 # Sigmoid outputs are kept this far away from 0 and 1 so that residual
 # arithmetic stays finite even for saturated units.

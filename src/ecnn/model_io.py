@@ -21,14 +21,7 @@ from .domain import (
 )
 from .errors import ModelFormatError
 
-__all__ = [
-    "FORMAT_VERSION",
-    "save_model",
-    "load_model",
-    "dump_canonical_json",
-    "model_to_payload",
-    "payload_to_model",
-]
+__all__ = ["save_model", "load_model", "dump_canonical_json"]
 
 FORMAT_VERSION = 1
 
@@ -104,6 +97,8 @@ def payload_to_model(payload) -> tuple[CascadeModel, TrainConfig]:
     """Rebuild a model and its training config from a parsed payload."""
     try:
         version = payload["format_version"]
+        if type(version) is not int:
+            raise ValueError(f"format_version must be an integer, got {version!r}")
         if version != FORMAT_VERSION:
             raise ModelFormatError(
                 f"unsupported model format version {version!r}; "
@@ -118,6 +113,11 @@ def payload_to_model(payload) -> tuple[CascadeModel, TrainConfig]:
             )
             for entry in payload["neurons"]
         )
+        names = payload["feature_names"]
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(s, str) for s in names)
+        ):
+            raise ValueError("feature_names must be null or a list of strings")
         stats_payload = payload["normalization"]
         stats = (
             None
@@ -129,7 +129,7 @@ def payload_to_model(payload) -> tuple[CascadeModel, TrainConfig]:
             anchor_feature=payload["anchor_feature"],
             criterion_history=tuple(_numbers(payload, "criterion_history")),
             normalization_stats=stats,
-            feature_names=payload["feature_names"],
+            feature_names=names,
         )
     except ModelFormatError:
         raise

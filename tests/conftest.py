@@ -14,16 +14,15 @@ from ecnn import (
     CascadeModel,
     Dataset,
     Feature,
-    FeatureStats,
     NeuronSpec,
     PrevNeuron,
     TrainConfig,
     dump_canonical_json,
-    fit_neuron_from_init,
-    init_weights,
-    model_to_payload,
     split_odd_even,
 )
+from ecnn.domain import FeatureStats
+from ecnn.fitting import fit_neuron_from_init, init_weights
+from ecnn.model_io import model_to_payload
 
 
 @pytest.fixture
@@ -169,6 +168,11 @@ WRONGLY_TYPED_MODEL_FIELDS = [
     (("config", "classification_threshold"), "0.5"),
     (("config", "advance_on_accept"), "false"),
     (("feature_names",), "ab"),
+    (("feature_names",), [1, 2]),
+    (("feature_names",), [None, "b"]),
+    (("feature_names",), [True, "b"]),
+    (("format_version",), True),
+    (("format_version",), 1.0),
 ]
 
 

@@ -20,50 +20,33 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 SOURCES = sorted((ROOT / "src" / "ecnn").glob("*.py"))
 
+# What the callers below name; every other name is importable from its
+# module only (``from ecnn.fitting import design_matrix``).
 PUBLIC_API = [
     "__version__",
     # domain
     "Dataset",
-    "SplitAB",
     "PrevNeuron",
     "Feature",
-    "InputSource",
     "NeuronSpec",
-    "FeatureStats",
     "CascadeModel",
     "TrainConfig",
-    "FitnessRecord",
     "require_valid_dataset",
-    "require_finite_features",
     # errors
     "EcnnError",
     "DataError",
     "ModelFormatError",
     # fitting
-    "SIGMOID_CLAMP",
-    "FitResult",
-    "sigmoid",
-    "design_matrix",
-    "init_weights",
     "fit_neuron",
-    "fit_neuron_from_init",
     # cascade
     "forward_batch",
     "classify_batch",
     "error_rate",
     # evolve
-    "STOP_FEATURES_EXHAUSTED",
-    "STOP_MAX_LAYERS",
-    "AcceptedRecord",
-    "RejectedRecord",
-    "EvolveTrace",
-    "RunSummary",
-    "child_seed",
     "rng_for_run",
     "select_best",
     "multi_run",
     # data io
-    "SynthTruth",
     "load_csv",
     "load_matrix_csv",
     "write_csv",
@@ -72,12 +55,25 @@ PUBLIC_API = [
     "split_train_test",
     "synth_dataset",
     # model io
-    "FORMAT_VERSION",
     "save_model",
     "load_model",
     "dump_canonical_json",
-    "model_to_payload",
-    "payload_to_model",
+]
+
+
+def readme_python_blocks():
+    """The source of every ``python`` block in README, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+
+
+# The callers of the public surface: the command line, the demos, README's
+# examples and the benchmark.  The library's own modules are not callers.
+CALLERS = [
+    *(path.read_text(encoding="utf-8") for path in [
+        ROOT / "src" / "ecnn" / "cli.py", *DEMOS, *sorted((ROOT / "bench").glob("*.py"))
+    ]),
+    *readme_python_blocks(),
 ]
 
 
@@ -111,48 +107,40 @@ class TestExports:
         assert [name for name in removed if hasattr(ecnn, name)] == []
 
     def test_every_export_has_a_caller_outside_the_tests(self):
-        used = set().union(
-            *(referenced_names(path) for path in SOURCES if path.name != "__init__.py"),
-            *(referenced_names(path) for path in DEMOS),
-        )
+        used = set().union(*map(referenced_names, CALLERS))
         assert [name for name in ecnn.__all__ if name not in used] == []
 
-    def test_scan_counts_names_attributes_and_imports(self, tmp_path):
-        module = tmp_path / "module.py"
-        module.write_text(
+    def test_scan_counts_names_attributes_and_imports(self):
+        names = referenced_names(
             "from pkg.sub import imported\n"
             "import pkg.deep.module_name\n"
             "def caller():\n"
-            "    return loaded(pkg.attribute)\n",
-            encoding="utf-8",
+            "    return loaded(pkg.attribute)\n"
         )
-        names = referenced_names(module)
         assert {"imported", "module_name", "loaded", "attribute"} <= names
 
-    def test_scan_skips_strings_and_own_definitions(self, tmp_path):
-        module = tmp_path / "module.py"
-        module.write_text(
+    def test_scan_skips_strings_and_own_definitions(self):
+        names = referenced_names(
             '"""Mentions in_docstring."""\n'
             '__all__ = ["in_all"]\n'
             "def recursive():\n"
             "    return recursive()\n"
             "class Own:\n"
             "    def method(self):\n"
-            "        return Own\n",
-            encoding="utf-8",
+            "        return Own\n"
         )
-        names = referenced_names(module)
         assert names.isdisjoint({"in_docstring", "in_all", "recursive", "Own"})
 
 
-def referenced_names(path):
-    """Names a module reads: loaded names, attributes and imported names.
+def referenced_names(source):
+    """Names Python ``source`` reads: loaded names, attributes and imported
+    names.
 
     A top-level function or class does not count as a reference to itself,
     and strings (docstrings, ``__all__``) are not references.
     """
     names = set()
-    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+    for top in ast.parse(source).body:
         found = set()
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -354,7 +342,6 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_readme_library_quick_start_runs(tmp_path):
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    example = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    example = readme_python_blocks()[0]
     result = run_with_warnings_as_errors(["-c", example], tmp_path)
     assert (result.returncode, result.stderr) == (0, "")

@@ -15,14 +15,14 @@ from ecnn import (
     DataError,
     Dataset,
     Feature,
-    FeatureStats,
     NeuronSpec,
     PrevNeuron,
-    SIGMOID_CLAMP,
     classify_batch,
     error_rate,
     forward_batch,
 )
+from ecnn.domain import FeatureStats
+from ecnn.fitting import SIGMOID_CLAMP
 
 from conftest import build_cascade, random_cascade, traced_peak
 

@@ -31,17 +31,17 @@ from ecnn import (
     Dataset,
     EcnnError,
     Feature,
-    FeatureStats,
     NeuronSpec,
     TrainConfig,
     forward_batch,
     load_csv,
     load_model,
-    model_to_payload,
     save_model,
     synth_dataset,
     write_csv,
 )
+from ecnn.domain import FeatureStats
+from ecnn.model_io import model_to_payload
 from ecnn.cli import OUT_DIR_ENV, build_parser, run
 
 import ecnn
@@ -207,6 +207,17 @@ class TestTrain:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert (outs[0].with_name("model.runs.csv").read_bytes()
                 == outs[1].with_name("model.runs.csv").read_bytes())
+
+    def test_a_label_name_the_header_holds_twice_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("y,b,y\n" + "0.0,1.0,1\n1.0,0.0,0\n" * 4, encoding="utf-8")
+        code, stdout, stderr = invoke(
+            capsys, "train", "--data", str(data), "--label", "y", "--runs", "1",
+            "--out", str(tmp_path / "m.ecnn"),
+        )
+        assert (code, stdout) == (2, "")
+        assert "label 'y' names two columns" in stderr
+        assert not (tmp_path / "m.ecnn").exists()
 
     def test_holdout_fraction_reports_a_test_error(self, tmp_path, train_csv,
                                                    capsys):

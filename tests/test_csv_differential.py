@@ -34,9 +34,9 @@ from ecnn import (
     Dataset,
     load_csv,
     load_matrix_csv,
-    require_finite_features,
     write_csv,
 )
+from ecnn.domain import require_finite_features
 from ecnn.data_io import _parse_json_blocks, format_scores
 
 import ecnn.data_io as data_io
@@ -93,6 +93,10 @@ def reference_load_matrix_csv(path):
 def reference_load_csv(path, label_column):
     header, body = reference_rows(path)
     if isinstance(label_column, str) and label_column in header:
+        # A label name must pick one column; a header that holds it twice
+        # is refused, not resolved to its first match.
+        if header.count(label_column) > 1:
+            raise DataError(f"{path}: label {label_column!r} names two columns in {header}")
         label_idx = header.index(label_column)
     else:
         try:
@@ -981,13 +985,19 @@ class TestStreamedWrite:
     @pytest.mark.parametrize("m", [0, 1, 4])
     @pytest.mark.parametrize("n", [1, 999, 1000, 1001])
     def test_blocks_of_any_width_match_the_whole_text_writer(self, tmp_path, rng, n, m):
-        # Magnitudes on both sides of [1e-3, 1e15), stored column-major so
-        # each block is a strided view of the matrix.
+        # Magnitudes on both sides of [1e-3, 1e15).
         features = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-6, 18, (n, m))
-        data = Dataset(np.asfortranarray(features), (rng.random(n) < 0.5).astype(float))
+        data = Dataset(features, (rng.random(n) < 0.5).astype(float))
         path = tmp_path / "out.csv"
         write_csv(path, data)
         assert path.read_bytes() == reference_csv_text(data).encode("utf-8")
+        # A Dataset is C-ordered, so write_csv never hands the row printer
+        # a strided block; the printer still takes one, such as a block of
+        # a column-major matrix.
+        strided = np.asfortranarray(features)[:data_io._WRITE_BLOCK_ROWS]
+        assert data_io._float_rows(strided) == [
+            ",".join(repr(float(v)) for v in row).encode("ascii") for row in strided
+        ]
 
     def test_boundary_cells_print_like_repr(self, tmp_path):
         cells = np.array(BOUNDARY_CELLS + [-x for x in BOUNDARY_CELLS])

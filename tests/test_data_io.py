@@ -316,6 +316,32 @@ class TestParseStages:
             load_csv(path, label, features=features)
         assert str(raised.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("features", [None, [1]], ids=["whole", "columns"])
+    @pytest.mark.parametrize("header", ["y,b,y", "a,y,y"])
+    def test_a_label_name_the_header_holds_twice_is_refused(
+        self, tmp_path, monkeypatch, header, features
+    ):
+        # The first stage serves the clean file; the .5 cell sends the
+        # other to the per-cell parse.  Neither guesses which y is meant.
+        clean = write_text(tmp_path / "clean.csv", f"{header}\n0.0,1.0,1\n1.0,0.0,0\n")
+        odd = write_text(tmp_path / "odd.csv", f"{header}\n.5,1.0,1\n1.0,0.0,0\n")
+        messages = []
+        for path in (clean, odd):
+            with monkeypatch.context() as patch:
+                if path == clean:
+                    patch.setattr(data_io, "_parse_cells", no_cell_parse)
+                with pytest.raises(DataError) as raised:
+                    load_csv(path, "y", features=features)
+            messages.append(str(raised.value).replace(str(path), "FILE"))
+        want = f"FILE: label 'y' names two columns in {header.split(',')}"
+        assert messages == [want, want]
+
+    def test_a_label_given_by_index_still_loads_beside_a_repeated_name(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "y,b,y\n0.0,1.0,1\n1.0,0.0,0\n")
+        data = load_csv(path, 2)
+        assert data.feature_names == ("y", "b")
+        assert data.targets.tolist() == [1.0, 0.0]
+
     @pytest.mark.parametrize("label", ["-0", "-0.0"])
     @pytest.mark.parametrize("stage", ["orjson", "per-cell"])
     def test_a_negative_zero_label_reads_as_zero(self, tmp_path, monkeypatch, stage, label):
@@ -360,6 +386,19 @@ class TestWriteCsv:
     def test_names_load_csv_would_strip_are_refused(self, tmp_path, names, label, bad):
         data = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]), names)
         message = f"^column name {re.escape(repr(bad))} has whitespace that load_csv strips$"
+        with pytest.raises(ValueError, match=message):
+            write_csv(tmp_path / "out.csv", data, label_name=label)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("names, label", [
+        (("y", "b"), "y"),
+        (("a", "label"), "label"),
+        (None, "x1"),
+    ], ids=["default-label", "named-label", "generated-name"])
+    def test_a_feature_named_as_the_label_is_refused(self, tmp_path, names, label):
+        # load_csv could not tell the label from that feature.
+        data = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]), names)
+        message = f"^feature name {re.escape(repr(label))} is also the label's name$"
         with pytest.raises(ValueError, match=message):
             write_csv(tmp_path / "out.csv", data, label_name=label)
         assert list(tmp_path.iterdir()) == []

@@ -17,15 +17,13 @@ from ecnn import (
     DataError,
     Dataset,
     Feature,
-    FeatureStats,
     NeuronSpec,
     PrevNeuron,
-    SplitAB,
     TrainConfig,
-    require_finite_features,
     require_valid_dataset,
     split_odd_even,
 )
+from ecnn.domain import FeatureStats, SplitAB, require_finite_features
 
 
 class TestDataset:
@@ -65,6 +63,15 @@ class TestDataset:
         assert not np.shares_memory(d.features, table)
         assert not np.shares_memory(d.targets, table)
         assert not d.features.flags.writeable and d.features.flags.owndata
+
+    def test_a_frozen_column_major_array_is_copied_to_row_major(self):
+        # normalize's column sums take their order from the layout, so a
+        # Dataset holds one layout and the same values give the same bits.
+        features = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        features.flags.writeable = False
+        d = Dataset(features, np.zeros(3))
+        assert d.features is not features and d.features.flags.c_contiguous
+        assert d.features.tolist() == features.tolist()
 
     @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
     def test_a_frozen_array_of_another_dtype_is_converted(self, dtype):

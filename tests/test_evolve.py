@@ -15,40 +15,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecnn import (
-    AcceptedRecord,
     CascadeModel,
     DataError,
     Dataset,
     EcnnError,
-    EvolveTrace,
     Feature,
-    FitnessRecord,
     NeuronSpec,
     PrevNeuron,
+    TrainConfig,
+    dump_canonical_json,
+    error_rate,
+    forward_batch,
+    multi_run,
+    normalize,
+    rng_for_run,
+    save_model,
+    select_best,
+    split_odd_even,
+    synth_dataset,
+)
+from ecnn.domain import FitnessRecord, SplitAB
+from ecnn.evolve import (
+    AcceptedRecord,
+    EvolveTrace,
     RejectedRecord,
     RunSummary,
     STOP_FEATURES_EXHAUSTED,
     STOP_MAX_LAYERS,
-    SplitAB,
-    TrainConfig,
+    _wiring,
     child_seed,
-    design_matrix,
-    dump_canonical_json,
-    error_rate,
-    fit_neuron_from_init,
-    forward_batch,
-    init_weights,
-    model_to_payload,
-    multi_run,
-    rng_for_run,
-    save_model,
-    select_best,
-    sigmoid,
-    split_odd_even,
-    synth_dataset,
+    evolve,
 )
+from ecnn.fitting import design_matrix, fit_neuron_from_init, init_weights, sigmoid
+from ecnn.model_io import model_to_payload
 import ecnn.evolve
-from ecnn.evolve import _wiring, evolve
 
 
 def and_dataset(n=400, seed=55):
@@ -657,3 +657,68 @@ class TestMultiRun:
         _, summaries = multi_run(small_dataset, None, config, runs=3)
         assert [s.seed for s in summaries] == [child_seed(90, i) for i in range(3)]
         assert [s.run_index for s in summaries] == [0, 1, 2]
+
+
+@st.composite
+def layout_problems(draw):
+    """A small synthetic training set (n <= 300, m <= 8) and a config."""
+    n, m = draw(st.integers(20, 300)), draw(st.integers(2, 8))
+    relevant = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True))
+    data, _ = synth_dataset(n=n, m=m, relevant=relevant, noise_sigma=0.5,
+                            seed=draw(st.integers(0, 2**32 - 1)))
+    return data, TrainConfig(seed=draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 2))
+
+
+def normalized_model_bytes(data, config, runs, stats=True):
+    """The bytes of the model ``multi_run`` keeps on ``normalize(data)``,
+    with its statistics attached or not."""
+    scaled, found = normalize(data)
+    model, _ = multi_run(scaled, None, config, runs)
+    if stats:
+        model = model.with_normalization(found)
+    return dump_canonical_json(model_to_payload(model, config))
+
+
+class TestSameValuesSameBytes:
+    """Training reads values, not their memory layout or column order.  A
+    failing example here is a finding, not a draw to narrow."""
+
+    @given(problem=layout_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_a_column_major_copy_trains_the_same_bytes(self, problem):
+        data, config, runs = problem
+        fortran = Dataset(np.asfortranarray(data.features), data.targets,
+                          data.feature_names)
+        assert (normalized_model_bytes(fortran, config, runs)
+                == normalized_model_bytes(data, config, runs))
+
+    @given(problem=layout_problems(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_permuted_columns_train_the_permuted_model(self, problem, data):
+        original, config, runs = problem
+        order = data.draw(st.permutations(range(original.m)))
+        slot = {column: k for k, column in enumerate(order)}
+        permuted = Dataset(original.features[:, order], original.targets,
+                           [original.feature_names[j] for j in order])
+        model, _ = multi_run(normalize(original)[0], None, config, runs)
+        moved = CascadeModel(
+            [NeuronSpec(nr.layer, [
+                Feature(slot[src.column]) if isinstance(src, Feature) else src
+                for src in nr.wiring
+            ], nr.weights) for nr in model.neurons],
+            slot[model.anchor_feature], model.criterion_history,
+            feature_names=permuted.feature_names,
+        )
+        assert (normalized_model_bytes(permuted, config, runs, stats=False)
+                == dump_canonical_json(model_to_payload(moved, config)))
+
+    @given(problem=layout_problems(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_column_scales_train_the_same_bytes(self, problem, data):
+        original, config, runs = problem
+        powers = data.draw(st.lists(st.integers(-8, 8), min_size=original.m,
+                                    max_size=original.m))
+        scaled = Dataset(original.features * np.exp2(powers), original.targets,
+                         original.feature_names)
+        assert (normalized_model_bytes(scaled, config, runs, stats=False)
+                == normalized_model_bytes(original, config, runs, stats=False))

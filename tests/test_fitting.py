@@ -14,19 +14,23 @@ from ecnn import (
     DataError,
     Dataset,
     Feature,
-    FitResult,
     PrevNeuron,
-    SIGMOID_CLAMP,
-    SplitAB,
     TrainConfig,
-    design_matrix,
     fit_neuron,
+)
+from ecnn.domain import SplitAB
+from ecnn import fitting
+from ecnn.fitting import (
+    FitResult,
+    SIGMOID_CLAMP,
+    _norm,
+    _project,
+    _projection_scale,
+    design_matrix,
     fit_neuron_from_init,
     init_weights,
     sigmoid,
 )
-from ecnn import fitting
-from ecnn.fitting import _norm, _project, _projection_scale
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 

@@ -13,9 +13,7 @@ from conftest import WRONGLY_TYPED_MODEL_FIELDS, write_wrongly_typed_model
 
 from ecnn import (
     CascadeModel,
-    FORMAT_VERSION,
     Feature,
-    FeatureStats,
     ModelFormatError,
     NeuronSpec,
     PrevNeuron,
@@ -23,10 +21,10 @@ from ecnn import (
     dump_canonical_json,
     forward_batch,
     load_model,
-    model_to_payload,
-    payload_to_model,
     save_model,
 )
+from ecnn.domain import FeatureStats
+from ecnn.model_io import FORMAT_VERSION, model_to_payload, payload_to_model
 
 
 class TestRoundTrip:
